@@ -6,16 +6,16 @@
 //! calls out for the linear resolve cost E2/E11 expose.
 
 use actorspace_atoms::path;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, Route, SpaceId};
+use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, SpaceId};
 use actorspace_pattern::{pattern, Pattern};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn build(n: usize, use_index: bool) -> (Registry<u64>, SpaceId) {
+fn build(n: usize, use_index: bool) -> (ShardedRegistry<u64>, SpaceId) {
     let policy = ManagerPolicy {
         use_literal_index: use_index,
         ..Default::default()
     };
-    let mut reg: Registry<u64> = Registry::new(policy);
+    let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
     let space = reg.create_space(None);
     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
     for i in 0..n {

@@ -9,13 +9,13 @@
 //! check) as the visibility graph deepens — the marginal price of safety.
 
 use actorspace_atoms::path;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, Route, SpaceId};
+use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, SpaceId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Builds a linear chain of `depth` spaces: s0 visible in s1 … visible in
 /// s(depth-1). Returns all spaces.
-fn chain(depth: usize) -> (Registry<u64>, Vec<SpaceId>) {
-    let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+fn chain(depth: usize) -> (ShardedRegistry<u64>, Vec<SpaceId>) {
+    let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let spaces: Vec<SpaceId> = (0..depth).map(|_| r.create_space(None)).collect();
     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
     for w in spaces.windows(2) {
@@ -31,11 +31,11 @@ fn bench_dag_check_vs_depth(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("space_member", depth), &depth, |b, &d| {
             b.iter_with_setup(
                 || {
-                    let (mut r, spaces) = chain(d);
+                    let (r, spaces) = chain(d);
                     let extra = r.create_space(None);
                     (r, spaces, extra)
                 },
-                |(mut r, spaces, extra)| {
+                |(r, spaces, extra)| {
                     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
                     // Making the chain head visible in a fresh space walks
                     // the reachable subgraph (the whole chain below it).
@@ -53,12 +53,12 @@ fn bench_dag_check_vs_depth(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("actor_member", depth), &depth, |b, &d| {
             b.iter_with_setup(
                 || {
-                    let (mut r, spaces) = chain(d);
+                    let (r, spaces) = chain(d);
                     let top = spaces[d - 1];
                     let a = r.create_actor(top, None).unwrap();
                     (r, top, a)
                 },
-                |(mut r, top, a)| {
+                |(r, top, a)| {
                     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
                     // Actors cannot form cycles: no graph walk.
                     r.make_visible(a.into(), vec![path("x")], top, None, &mut sink)
@@ -76,7 +76,7 @@ fn bench_rejected_cycle_cost(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &d| {
             b.iter_with_setup(
                 || chain(d),
-                |(mut r, spaces)| {
+                |(r, spaces)| {
                     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
                     // Closing the chain into a loop must be detected (and
                     // costs a full-chain walk — the worst case).

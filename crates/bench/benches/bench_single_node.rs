@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use actorspace_atoms::path;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, Route};
+use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry};
 use actorspace_pattern::{pattern, Pattern};
 use actorspace_runtime::{from_fn, ActorSystem, Config, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -60,9 +60,9 @@ fn bench_pattern_send_path(c: &mut Criterion) {
     sys.shutdown();
 }
 
-/// Registry-only resolution: no scheduling noise.
-fn resolve_registry(n_actors: usize) -> (Registry<u64>, actorspace_core::SpaceId) {
-    let mut reg: Registry<u64> = Registry::new(ManagerPolicy::default());
+/// Coordinator-only resolution: no scheduling noise.
+fn resolve_registry(n_actors: usize) -> (ShardedRegistry<u64>, actorspace_core::SpaceId) {
+    let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let space = reg.create_space(None);
     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
     for i in 0..n_actors {

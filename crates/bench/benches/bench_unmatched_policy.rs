@@ -9,19 +9,19 @@
 use actorspace_atoms::path;
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Registry, Route,
+    ActorId, Route, ShardedRegistry,
 };
 use actorspace_pattern::pattern;
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn registry(unmatched: UnmatchedPolicy) -> Registry<u64> {
+fn registry(unmatched: UnmatchedPolicy) -> ShardedRegistry<u64> {
     let p = ManagerPolicy {
         unmatched_send: unmatched,
         unmatched_broadcast: unmatched,
         selection_seed: Some(1),
         ..Default::default()
     };
-    Registry::new(p)
+    ShardedRegistry::new(p)
 }
 
 fn bench_unmatched_send(c: &mut Criterion) {
@@ -34,11 +34,11 @@ fn bench_unmatched_send(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter_with_setup(
                 || {
-                    let mut r = registry(policy);
+                    let r = registry(policy);
                     let s = r.create_space(None);
                     (r, s)
                 },
-                |(mut r, s)| {
+                |(r, s)| {
                     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
                     let pat = pattern("ghost");
                     for _ in 0..100 {
@@ -56,12 +56,12 @@ fn bench_suspend_wake_cycle(c: &mut Criterion) {
     g.bench_function("send_then_arrival_releases", |b| {
         b.iter_with_setup(
             || {
-                let mut r = registry(UnmatchedPolicy::Suspend);
+                let r = registry(UnmatchedPolicy::Suspend);
                 let s = r.create_space(None);
                 let a = r.create_actor(s, None).unwrap();
                 (r, s, a)
             },
-            |(mut r, s, a)| {
+            |(r, s, a)| {
                 let mut delivered = 0u32;
                 let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {
                     delivered += 1;
@@ -79,13 +79,13 @@ fn bench_suspend_wake_cycle(c: &mut Criterion) {
     g.bench_function("persistent_broadcast_with_10_arrivals", |b| {
         b.iter_with_setup(
             || {
-                let mut r = registry(UnmatchedPolicy::Persistent);
+                let r = registry(UnmatchedPolicy::Persistent);
                 let s = r.create_space(None);
                 let actors: Vec<ActorId> =
                     (0..10).map(|_| r.create_actor(s, None).unwrap()).collect();
                 (r, s, actors)
             },
-            |(mut r, s, actors)| {
+            |(r, s, actors)| {
                 let mut delivered = 0u32;
                 let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {
                     delivered += 1;
@@ -109,13 +109,13 @@ fn bench_wake_overhead_when_nothing_pending(c: &mut Criterion) {
     g.bench_function("make_visible_no_pending", |b| {
         b.iter_with_setup(
             || {
-                let mut r = registry(UnmatchedPolicy::Suspend);
+                let r = registry(UnmatchedPolicy::Suspend);
                 let s = r.create_space(None);
                 let actors: Vec<ActorId> =
                     (0..100).map(|_| r.create_actor(s, None).unwrap()).collect();
                 (r, s, actors)
             },
-            |(mut r, s, actors)| {
+            |(r, s, actors)| {
                 let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
                 for (i, a) in actors.into_iter().enumerate() {
                     r.make_visible(a.into(), vec![path(&format!("w/{i}"))], s, None, &mut sink)

@@ -16,7 +16,7 @@ use actorspace_bench::report::{fmt_dur, time_it, Table};
 use actorspace_bench::workloads::{pool, repo, tsp};
 use actorspace_core::{
     policy::{ManagerPolicy, SelectionPolicy, UnmatchedPolicy},
-    ActorId, Registry, ShardedRegistry, SpaceId, ROOT_SPACE,
+    ActorId, ShardedRegistry, SpaceId, ROOT_SPACE,
 };
 use actorspace_net::{Cluster, ClusterConfig, FailureConfig, LinkConfig, OrderingProtocol};
 use actorspace_obs::{names, Obs, ObsConfig};
@@ -194,7 +194,7 @@ fn e2_single_node() {
     }
     // Resolution scaling.
     for n_actors in [100usize, 1_000, 10_000] {
-        let mut reg: Registry<u64> = Registry::new(ManagerPolicy::default());
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
         let space = reg.create_space(None);
         let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
         for i in 0..n_actors {
@@ -303,7 +303,7 @@ fn e4_load_balance() {
                 selection_seed: Some(42),
                 ..Default::default()
             };
-            let mut reg: Registry<u64> = Registry::new(policy);
+            let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
             let space = reg.create_space(None);
             let mut replicas = Vec::new();
             let mut sink0 = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
@@ -411,7 +411,7 @@ fn e5_broadcast() {
 
 fn e6_unmatched() {
     let mut t = Table::new(
-        "E6 (§5.6): unmatched-message policies (registry level, 10k unmatched sends)",
+        "E6 (§5.6): unmatched-message policies (coordinator level, 10k unmatched sends)",
         &["policy", "total", "per send", "behavior"],
     );
     for (name, policy, behavior) in [
@@ -423,7 +423,7 @@ fn e6_unmatched() {
             unmatched_send: policy,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let pat = pattern("ghost");
         let n = 10_000u32;
@@ -441,7 +441,7 @@ fn e6_unmatched() {
             unmatched_send: UnmatchedPolicy::Suspend,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let a = reg.create_actor(space, None).unwrap();
         let n = 10_000u32;
@@ -472,7 +472,7 @@ fn e6_unmatched() {
             unmatched_broadcast: UnmatchedPolicy::Persistent,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let n = 1_000u32;
         let mut delivered = 0u32;
@@ -518,7 +518,7 @@ fn e7_cycles() {
     );
     for depth in [4usize, 16, 64, 256] {
         let build = || {
-            let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+            let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
             let spaces: Vec<SpaceId> = (0..depth).map(|_| r.create_space(None)).collect();
             let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
             for w in spaces.windows(2) {
@@ -529,7 +529,7 @@ fn e7_cycles() {
         };
         let reps = 500u32;
         // Actor member: no DAG check.
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let top = *spaces.last().unwrap();
         let actors: Vec<ActorId> = (0..reps)
             .map(|_| r.create_actor(top, None).unwrap())
@@ -542,7 +542,7 @@ fn e7_cycles() {
             }
         });
         // Space member: full reachability walk.
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let head = *spaces.last().unwrap();
         let extras: Vec<SpaceId> = (0..reps).map(|_| r.create_space(None)).collect();
         let (_, d_space) = time_it(|| {
@@ -553,7 +553,7 @@ fn e7_cycles() {
             }
         });
         // Cycle rejection (worst case walk).
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let (_, d_reject) = time_it(|| {
             let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
             for _ in 0..reps {
@@ -723,7 +723,7 @@ fn e10_gc() {
         &["live fraction", "collected", "survivors", "pass time"],
     );
     for live in [0.0f64, 0.5, 1.0] {
-        let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+        let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
         let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
         for s in 0..100usize {
             let space = r.create_space(None);
@@ -840,7 +840,7 @@ fn e12_attr_index() {
                 use_literal_index: use_index,
                 ..Default::default()
             };
-            let mut reg: Registry<u64> = Registry::new(policy);
+            let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
             let space = reg.create_space(None);
             let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
             for i in 0..n {
@@ -1020,28 +1020,18 @@ fn e13_tracing_overhead() {
 // ---------------------------------------------------------------- E14
 
 fn e14_shard_contention() {
-    // The sharded coordinator's reason to exist: under the seed design
-    // every send serialises on one registry-wide mutex; per-space shards
-    // let sends into disjoint spaces proceed concurrently. Each thread
-    // hammers its own private space and sends every 16th message through
-    // one shared space (the cross-shard path), against (a) the single-lock
-    // reference behind a `Mutex` — the seed coordinator shape — and
-    // (b) `ShardedRegistry` called through `&self`.
+    // The sharded coordinator's reason to exist: per-space shards let sends
+    // into disjoint spaces proceed concurrently. Each thread hammers its
+    // own private space and sends every 16th message through one shared
+    // space (the cross-shard path), calling `ShardedRegistry` through
+    // `&self` with no outer lock.
     //
-    // E14_QUICK=1 shrinks the run for CI. On a 1-core runner the two
-    // variants should be ~at parity (no parallelism to win); the sharded
-    // column must simply not be meaningfully slower.
+    // E14_QUICK=1 shrinks the run for CI.
     let quick = std::env::var("E14_QUICK").is_ok();
     let per_thread: u64 = if quick { 4_000 } else { 40_000 };
     let mut t = Table::new(
-        "E14 (sharding): send throughput, global lock vs per-space shards",
-        &[
-            "threads",
-            "ops/thread",
-            "global lock",
-            "sharded",
-            "sharded/global",
-        ],
+        "E14 (sharding): send throughput over per-space shards",
+        &["threads", "ops/thread", "total", "per send", "sends/s"],
     );
 
     let policy = ManagerPolicy {
@@ -1052,116 +1042,57 @@ fn e14_shard_contention() {
     };
 
     for threads in [1usize, 2, 4, 8] {
-        // -- (a) the seed shape: one mutex around the whole registry.
-        let d_global = {
-            let reg = Arc::new(actorspace_lockcheck::Mutex::new(
-                actorspace_lockcheck::LockClass::Other("bench.global_registry"),
-                Registry::<u64>::new(policy.clone()),
-            ));
-            let (privates, shared) = {
-                let mut r = reg.lock();
-                let shared = r.create_space(None);
-                let mut privates = Vec::new();
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                for _ in 0..threads {
-                    let s = r.create_space(None);
-                    let a = r.create_actor(s, None).unwrap();
-                    r.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
-                        .unwrap();
-                    r.make_visible(
-                        a.into(),
-                        vec![path("shared/worker")],
-                        shared,
-                        None,
-                        &mut sink,
-                    )
-                    .unwrap();
-                    privates.push(s);
-                }
-                (privates, shared)
-            };
-            let own = pattern("worker");
-            let cross = pattern("shared/*");
-            let (_, d) = time_it(|| {
-                std::thread::scope(|scope| {
-                    for &space in privates.iter().take(threads) {
-                        let reg = Arc::clone(&reg);
-                        let (own, cross) = (own.clone(), cross.clone());
-                        scope.spawn(move || {
-                            let mut sink =
-                                |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                            for i in 0..per_thread {
-                                let mut r = reg.lock();
-                                if i % 16 == 0 {
-                                    r.send(&cross, shared, i, &mut sink).unwrap();
-                                } else {
-                                    r.send(&own, space, i, &mut sink).unwrap();
-                                }
-                            }
-                        });
-                    }
-                });
-            });
-            d
-        };
-
-        // -- (b) per-space shards, no outer lock.
-        let d_sharded = {
-            let reg = Arc::new(ShardedRegistry::<u64>::new(policy.clone()));
-            let shared = reg.create_space(None);
-            let mut privates = Vec::new();
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-            for _ in 0..threads {
-                let s = reg.create_space(None);
-                let a = reg.create_actor(s, None).unwrap();
-                reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
-                    .unwrap();
-                reg.make_visible(
-                    a.into(),
-                    vec![path("shared/worker")],
-                    shared,
-                    None,
-                    &mut sink,
-                )
+        let reg = Arc::new(ShardedRegistry::<u64>::new(policy.clone()));
+        let shared = reg.create_space(None);
+        let mut privates = Vec::new();
+        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        for _ in 0..threads {
+            let s = reg.create_space(None);
+            let a = reg.create_actor(s, None).unwrap();
+            reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
                 .unwrap();
-                privates.push(s);
-            }
-            let own = pattern("worker");
-            let cross = pattern("shared/*");
-            let (_, d) = time_it(|| {
-                std::thread::scope(|scope| {
-                    for &space in privates.iter().take(threads) {
-                        let reg = Arc::clone(&reg);
-                        let (own, cross) = (own.clone(), cross.clone());
-                        scope.spawn(move || {
-                            let mut sink =
-                                |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                            for i in 0..per_thread {
-                                if i % 16 == 0 {
-                                    reg.send(&cross, shared, i, &mut sink).unwrap();
-                                } else {
-                                    reg.send(&own, space, i, &mut sink).unwrap();
-                                }
+            reg.make_visible(
+                a.into(),
+                vec![path("shared/worker")],
+                shared,
+                None,
+                &mut sink,
+            )
+            .unwrap();
+            privates.push(s);
+        }
+        let own = pattern("worker");
+        let cross = pattern("shared/*");
+        let (_, d) = time_it(|| {
+            std::thread::scope(|scope| {
+                for &space in privates.iter().take(threads) {
+                    let reg = Arc::clone(&reg);
+                    let (own, cross) = (own.clone(), cross.clone());
+                    scope.spawn(move || {
+                        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+                        for i in 0..per_thread {
+                            if i % 16 == 0 {
+                                reg.send(&cross, shared, i, &mut sink).unwrap();
+                            } else {
+                                reg.send(&own, space, i, &mut sink).unwrap();
                             }
-                        });
-                    }
-                });
+                        }
+                    });
+                }
             });
-            d
-        };
-
+        });
+        let sends = per_thread * threads as u64;
         t.row(&[
             threads.to_string(),
             per_thread.to_string(),
-            fmt_dur(d_global),
-            fmt_dur(d_sharded),
-            format!("{:.2}x", d_sharded.as_secs_f64() / d_global.as_secs_f64()),
+            fmt_dur(d),
+            fmt_dur(d / sends as u32),
+            format!("{:.0}", sends as f64 / d.as_secs_f64()),
         ]);
     }
     t.print();
     println!(
-        "(cores available: {}; on a 1-core runner expect ~parity — the sharded win \
-         needs real parallelism, the invariant is that sharding is never meaningfully slower)",
+        "(cores available: {}; the sharded win needs real parallelism)",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!("json: {}", t.to_json());

@@ -17,14 +17,14 @@ use std::time::Duration;
 
 use actorspace_atoms::{atom, path, Path};
 use actorspace_baselines::NameServer;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, SpaceId};
+use actorspace_core::{policy::ManagerPolicy, ActorId, ShardedRegistry, SpaceId};
 use actorspace_pattern::Pattern;
 
-/// A repository built directly on the core registry (no scheduling noise —
-/// E11 measures *resolution*, not delivery).
+/// A repository built directly on the core coordinator (no scheduling
+/// noise — E11 measures *resolution*, not delivery).
 pub struct Repository {
-    /// The registry holding the library space.
-    pub registry: Registry<u64>,
+    /// The coordinator holding the library space.
+    pub registry: ShardedRegistry<u64>,
     /// The library actorSpace.
     pub space: SpaceId,
     /// Factory ids by (package, interface, version).
@@ -41,7 +41,7 @@ pub const VERSIONS: usize = 4;
 
 /// Builds a library with `size` factories.
 pub fn build_repository(size: usize) -> Repository {
-    let mut registry: Registry<u64> = Registry::new(ManagerPolicy::default());
+    let registry: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let space = registry.create_space(None);
     let mut factories = HashMap::new();
     let mut attrs = Vec::new();
@@ -111,7 +111,7 @@ pub fn ns_lookup_versions_emulated(ns: &NameServer, pkg: usize, iface: usize) ->
 
 /// Blocks until the repository can serve a late registration — shows the
 /// §5.6 suspension working for repository access too (used in tests).
-pub fn late_factory_is_found(repo: &mut Repository) -> bool {
+pub fn late_factory_is_found(repo: &Repository) -> bool {
     let pat = Pattern::parse("pkg-new/**").expect("valid");
     let before = repo.registry.resolve(&pat, repo.space).expect("resolve");
     if !before.is_empty() {
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn late_registrations_are_immediately_queryable() {
-        let mut repo = build_repository(64);
-        assert!(late_factory_is_found(&mut repo));
+        let repo = build_repository(64);
+        assert!(late_factory_is_found(&repo));
     }
 }

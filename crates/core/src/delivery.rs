@@ -12,19 +12,27 @@
 //! error, or — for broadcasts — persist with exactly-once delivery to every
 //! future matching actor.
 //!
-//! Deliveries are emitted through a caller-supplied [`Sink`]; the registry
-//! itself never touches mailboxes, which keeps ordering concerns
-//! (deliberately unspecified for broadcasts, §5.3) in the runtime layer.
+//! Deliveries are emitted through a caller-supplied [`Sink`]; the
+//! coordinator itself never touches mailboxes, which keeps ordering
+//! concerns (deliberately unspecified for broadcasts, §5.3) in the runtime
+//! layer. The operations live on
+//! [`ShardedRegistry`](crate::ShardedRegistry); this module holds the
+//! types they hand back.
 
-use actorspace_obs::{Stage, TraceId};
+use std::sync::Arc;
+
+use actorspace_obs::{names, Counter, Histogram, Obs, TraceId};
 use actorspace_pattern::Pattern;
 
-use crate::error::{Error, Result};
 use crate::ids::{ActorId, SpaceId};
-use crate::policy::UnmatchedPolicy;
-use crate::registry::{Registry, Sink};
-use crate::space::{DeliveryKind, Pending, PersistentBroadcast};
-use crate::visibility;
+use crate::space::DeliveryKind;
+
+/// A sink receiving `(recipient, message, route)` triples as the
+/// coordinator decides deliveries. The runtime's sink enqueues into
+/// mailboxes; tests collect into vectors. The [`Route`] is present for
+/// pattern-resolved deliveries and lets distribution layers re-resolve a
+/// message whose recipient has since become unreachable.
+pub type Sink<'a, M> = &'a mut dyn FnMut(ActorId, M, Option<&Route>);
 
 /// What became of a send/broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,347 +82,30 @@ pub struct Route {
     pub trace: TraceId,
 }
 
-impl<M: Clone> Registry<M> {
-    /// `send(pattern@space, message)` — deliver to one non-deterministically
-    /// chosen matching actor (§5.3).
-    pub fn send(
-        &mut self,
-        pattern: &Pattern,
-        space: SpaceId,
-        msg: M,
-        sink: Sink<'_, M>,
-    ) -> Result<Disposition> {
-        let trace = self.obs.tracer.begin();
-        self.m.sends.inc();
-        self.obs
-            .tracer
-            .record(trace, self.node, Stage::Submitted { broadcast: false });
-        self.send_with_trace(pattern, space, msg, sink, trace)
-    }
+/// Pre-resolved metric handles for the delivery hot paths, so sends touch
+/// only relaxed atomics, never the registry mutex inside `Obs`.
+pub(crate) struct CoreMetrics {
+    pub sends: Arc<Counter>,
+    pub broadcasts: Arc<Counter>,
+    pub matched: Arc<Counter>,
+    pub suspended: Arc<Counter>,
+    pub woken: Arc<Counter>,
+    pub discarded: Arc<Counter>,
+    pub match_ns: Arc<Histogram>,
+    pub dwell_ns: Arc<Histogram>,
+}
 
-    /// The body of `send`, with the trace already allocated — shared with
-    /// the failover path ([`Registry::resend`]), which must *continue* an
-    /// existing trace rather than mint a new one.
-    fn send_with_trace(
-        &mut self,
-        pattern: &Pattern,
-        space: SpaceId,
-        msg: M,
-        sink: Sink<'_, M>,
-        trace: TraceId,
-    ) -> Result<Disposition> {
-        // Match latency is sampled with the trace: the extra clock reads
-        // stay off the unsampled hot path.
-        let t0 = if trace.is_some() {
-            self.obs.now_nanos()
-        } else {
-            0
-        };
-        let candidates = self.resolve(pattern, space)?;
-        if !candidates.is_empty() {
-            self.m.matched.inc();
-            if trace.is_some() {
-                self.m
-                    .match_ns
-                    .record(self.obs.now_nanos().saturating_sub(t0));
-                self.obs.tracer.record(
-                    trace,
-                    self.node,
-                    Stage::Matched {
-                        candidates: candidates.len() as u32,
-                    },
-                );
-            }
-            let pick = self.pick(space, &candidates)?;
-            let route = Route {
-                pattern: pattern.clone(),
-                space,
-                kind: DeliveryKind::Send,
-                trace,
-            };
-            sink(pick, msg, Some(&route));
-            return Ok(Disposition::Delivered(1));
-        }
-        let policy = {
-            let sp = self.space_mut(space)?;
-            sp.manager_mut()
-                .unmatched_send()
-                .unwrap_or(sp.policy().unmatched_send)
-        };
-        match policy {
-            // Persistent degenerates to Suspend for point-to-point sends:
-            // the message still goes to exactly one recipient, just later.
-            UnmatchedPolicy::Suspend | UnmatchedPolicy::Persistent => {
-                self.m.suspended.inc();
-                self.obs.tracer.record(trace, self.node, Stage::Suspended);
-                let since_nanos = self.obs.now_nanos();
-                self.space_mut(space)?.push_pending(Pending {
-                    pattern: pattern.clone(),
-                    msg,
-                    kind: DeliveryKind::Send,
-                    trace,
-                    since_nanos,
-                });
-                Ok(Disposition::Suspended)
-            }
-            UnmatchedPolicy::Discard => {
-                self.m.discarded.inc();
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Ok(Disposition::Discarded)
-            }
-            UnmatchedPolicy::Error => {
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Err(Error::NoMatch {
-                    pattern: pattern.text().to_owned(),
-                    space,
-                })
-            }
-        }
-    }
-
-    /// `broadcast(pattern@space, message)` — deliver to all matching actors
-    /// (§5.3). Under [`UnmatchedPolicy::Persistent`], also guarantee
-    /// exactly-once delivery to every *future* matching actor (§5.6).
-    pub fn broadcast(
-        &mut self,
-        pattern: &Pattern,
-        space: SpaceId,
-        msg: M,
-        sink: Sink<'_, M>,
-    ) -> Result<Disposition> {
-        let trace = self.obs.tracer.begin();
-        self.m.broadcasts.inc();
-        self.obs
-            .tracer
-            .record(trace, self.node, Stage::Submitted { broadcast: true });
-        self.broadcast_with_trace(pattern, space, msg, sink, trace)
-    }
-
-    fn broadcast_with_trace(
-        &mut self,
-        pattern: &Pattern,
-        space: SpaceId,
-        msg: M,
-        sink: Sink<'_, M>,
-        trace: TraceId,
-    ) -> Result<Disposition> {
-        let t0 = if trace.is_some() {
-            self.obs.now_nanos()
-        } else {
-            0
-        };
-        let candidates = self.resolve(pattern, space)?;
-        let policy = {
-            let sp = self.space_mut(space)?;
-            sp.manager_mut()
-                .unmatched_broadcast()
-                .unwrap_or(sp.policy().unmatched_broadcast)
-        };
-        if !candidates.is_empty() {
-            self.m.matched.add(candidates.len() as u64);
-            if trace.is_some() {
-                self.m
-                    .match_ns
-                    .record(self.obs.now_nanos().saturating_sub(t0));
-                self.obs.tracer.record(
-                    trace,
-                    self.node,
-                    Stage::Matched {
-                        candidates: candidates.len() as u32,
-                    },
-                );
-            }
-        }
-        let route = Route {
-            pattern: pattern.clone(),
-            space,
-            kind: DeliveryKind::Broadcast,
-            trace,
-        };
-        if policy == UnmatchedPolicy::Persistent {
-            for &c in &candidates {
-                sink(c, msg.clone(), Some(&route));
-            }
-            let n = candidates.len();
-            self.space_mut(space)?.push_persistent(PersistentBroadcast {
-                pattern: pattern.clone(),
-                msg,
-                delivered: candidates.into_iter().collect(),
-            });
-            return Ok(Disposition::Persistent(n));
-        }
-        if !candidates.is_empty() {
-            let n = candidates.len();
-            for c in candidates {
-                sink(c, msg.clone(), Some(&route));
-            }
-            return Ok(Disposition::Delivered(n));
-        }
-        match policy {
-            UnmatchedPolicy::Suspend => {
-                self.m.suspended.inc();
-                self.obs.tracer.record(trace, self.node, Stage::Suspended);
-                let since_nanos = self.obs.now_nanos();
-                self.space_mut(space)?.push_pending(Pending {
-                    pattern: pattern.clone(),
-                    msg,
-                    kind: DeliveryKind::Broadcast,
-                    trace,
-                    since_nanos,
-                });
-                Ok(Disposition::Suspended)
-            }
-            UnmatchedPolicy::Discard => {
-                self.m.discarded.inc();
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Ok(Disposition::Discarded)
-            }
-            UnmatchedPolicy::Error => {
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Err(Error::NoMatch {
-                    pattern: pattern.text().to_owned(),
-                    space,
-                })
-            }
-            UnmatchedPolicy::Persistent => unreachable!("handled above"),
-        }
-    }
-
-    /// Re-resolves a previously routed message against the current registry
-    /// state — the failover path after its original recipient (or the node
-    /// holding it) died. Semantics match a fresh `send`/`broadcast` under
-    /// the space's unmatched policy, but the message's existing lifecycle
-    /// trace is *continued*: no new trace is begun and no `submitted` stage
-    /// is emitted, so the export shows one unbroken
-    /// `submitted → … → failed_over → … → delivered` history.
-    pub fn resend(&mut self, route: &Route, msg: M, sink: Sink<'_, M>) -> Result<Disposition> {
-        match route.kind {
-            DeliveryKind::Send => {
-                self.send_with_trace(&route.pattern, route.space, msg, sink, route.trace)
-            }
-            DeliveryKind::Broadcast => {
-                self.broadcast_with_trace(&route.pattern, route.space, msg, sink, route.trace)
-            }
-        }
-    }
-
-    /// Cancels every persistent broadcast registered on `space`, returning
-    /// how many were dropped. Requires `Rights::MANAGE` when guarded.
-    pub fn cancel_persistent(
-        &mut self,
-        space: SpaceId,
-        cap: Option<&actorspace_capability::Capability>,
-    ) -> Result<usize> {
-        let sp = self.space_mut(space)?;
-        sp.guard()
-            .check(cap, actorspace_capability::Rights::MANAGE)?;
-        Ok(sp.clear_persistent())
-    }
-
-    /// One arbitration step: the custom manager first, then the policy
-    /// selector (§8).
-    fn pick(&mut self, space: SpaceId, candidates: &[ActorId]) -> Result<ActorId> {
-        let sp = self.space_mut(space)?;
-        if let Some(choice) = sp.manager_mut().choose(candidates) {
-            return Ok(choice);
-        }
-        Ok(sp.selector_mut().select(candidates))
-    }
-
-    /// Retries suspended and persistent messages after a visibility or
-    /// attribute change in `changed`. A change is observable from `changed`
-    /// itself and from every space that can reach it through the visibility
-    /// DAG, so all of those queues are swept.
-    pub(crate) fn wake_after_change(&mut self, changed: SpaceId, sink: Sink<'_, M>) {
-        let affected = visibility::ancestors(self.containers(), changed);
-        for s in affected {
-            self.retry_space(s, sink);
-        }
-    }
-
-    fn retry_space(&mut self, space: SpaceId, sink: Sink<'_, M>) {
-        // --- Suspended messages (§5.6) ---
-        let pending = match self.space_mut(space) {
-            Ok(sp) if !sp.pending().is_empty() => sp.take_pending(),
-            _ => Vec::new(),
-        };
-        let mut still_waiting = Vec::new();
-        for p in pending {
-            let candidates = self.resolve(&p.pattern, space).unwrap_or_default();
-            if candidates.is_empty() {
-                still_waiting.push(p);
-                continue;
-            }
-            self.m.woken.inc();
-            self.m
-                .dwell_ns
-                .record(self.obs.now_nanos().saturating_sub(p.since_nanos));
-            self.obs.tracer.record(p.trace, self.node, Stage::Woken);
-            let route = Route {
-                pattern: p.pattern.clone(),
-                space,
-                kind: p.kind,
-                trace: p.trace,
-            };
-            match p.kind {
-                DeliveryKind::Send => {
-                    if let Ok(pick) = self.pick(space, &candidates) {
-                        sink(pick, p.msg, Some(&route));
-                    }
-                }
-                DeliveryKind::Broadcast => {
-                    for c in candidates {
-                        sink(c, p.msg.clone(), Some(&route));
-                    }
-                }
-            }
-        }
-        if !still_waiting.is_empty() {
-            if let Ok(sp) = self.space_mut(space) {
-                for p in still_waiting {
-                    sp.push_pending(p);
-                }
-            }
-        }
-
-        // --- Persistent broadcasts: exactly-once to new matches (§5.6) ---
-        let mut persistent = match self.space_mut(space) {
-            Ok(sp) if !sp.persistent().is_empty() => std::mem::take(sp.persistent_mut()),
-            _ => return,
-        };
-        for pb in &mut persistent {
-            let candidates = self.resolve(&pb.pattern, space).unwrap_or_default();
-            // Late persistent deliveries are not tied back to the original
-            // broadcast's trace: it may have terminated long ago, and an
-            // open-ended stream of `delivered` events would make "exactly
-            // one terminal stage" meaningless.
-            let route = Route {
-                pattern: pb.pattern.clone(),
-                space,
-                kind: DeliveryKind::Broadcast,
-                trace: TraceId::NONE,
-            };
-            for c in candidates {
-                if pb.delivered.insert(c) {
-                    sink(c, pb.msg.clone(), Some(&route));
-                }
-            }
-        }
-        if let Ok(sp) = self.space_mut(space) {
-            let mut merged = persistent;
-            // New persistent broadcasts cannot have been registered while we
-            // held the list (sinks do not re-enter the registry), but be
-            // defensive and keep any that were.
-            merged.extend(std::mem::take(sp.persistent_mut()));
-            *sp.persistent_mut() = merged;
+impl CoreMetrics {
+    pub(crate) fn resolve(obs: &Obs, node: u16) -> CoreMetrics {
+        CoreMetrics {
+            sends: obs.metrics.counter(names::CORE_SENDS, node),
+            broadcasts: obs.metrics.counter(names::CORE_BROADCASTS, node),
+            matched: obs.metrics.counter(names::CORE_MATCHED, node),
+            suspended: obs.metrics.counter(names::CORE_SUSPENDED, node),
+            woken: obs.metrics.counter(names::CORE_WOKEN, node),
+            discarded: obs.metrics.counter(names::CORE_DISCARDED, node),
+            match_ns: obs.metrics.histogram(names::CORE_MATCH_NS, node),
+            dwell_ns: obs.metrics.histogram(names::CORE_DWELL_NS, node),
         }
     }
 }
@@ -422,18 +113,20 @@ impl<M: Clone> Registry<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::policy::{ManagerPolicy, SelectionPolicy, UnmatchedPolicy};
+    use crate::ShardedRegistry;
     use actorspace_atoms::path;
     use actorspace_pattern::pattern;
 
-    type Reg = Registry<&'static str>;
+    type Reg = ShardedRegistry<&'static str>;
 
     fn reg() -> Reg {
         let p = ManagerPolicy {
             selection_seed: Some(7),
             ..Default::default()
         };
-        Registry::new(p)
+        ShardedRegistry::new(p)
     }
 
     fn reg_with(unmatched: UnmatchedPolicy) -> Reg {
@@ -443,7 +136,7 @@ mod tests {
             selection_seed: Some(7),
             ..Default::default()
         };
-        Registry::new(p)
+        ShardedRegistry::new(p)
     }
 
     /// Collects deliveries into a vec for assertions.
@@ -463,7 +156,7 @@ mod tests {
         }
     }
 
-    fn setup_workers(r: &mut Reg, n: usize) -> (SpaceId, Vec<ActorId>) {
+    fn setup_workers(r: &Reg, n: usize) -> (SpaceId, Vec<ActorId>) {
         let s = r.create_space(None);
         let mut workers = Vec::new();
         let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
@@ -478,8 +171,8 @@ mod tests {
 
     #[test]
     fn send_reaches_exactly_one_matching_actor() {
-        let mut r = reg();
-        let (s, workers) = setup_workers(&mut r, 4);
+        let r = reg();
+        let (s, workers) = setup_workers(&r, 4);
         let (got, mut sink) = collector();
         let d = r.send(&pattern("worker"), s, "job", &mut sink).unwrap();
         assert_eq!(d, Disposition::Delivered(1));
@@ -494,8 +187,8 @@ mod tests {
         // §5.3: "the load may be balanced automatically by an
         // implementation, and none of the clients need to know the exact
         // number of potential receivers."
-        let mut r = reg();
-        let (s, workers) = setup_workers(&mut r, 4);
+        let r = reg();
+        let (s, workers) = setup_workers(&r, 4);
         let mut counts: std::collections::HashMap<ActorId, u32> = Default::default();
         for _ in 0..400 {
             let (got, mut sink) = collector();
@@ -516,8 +209,8 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_all_matching_actors() {
-        let mut r = reg();
-        let (s, workers) = setup_workers(&mut r, 8);
+        let r = reg();
+        let (s, workers) = setup_workers(&r, 8);
         let (got, mut sink) = collector();
         let d = r
             .broadcast(&pattern("worker"), s, "bound=17", &mut sink)
@@ -532,7 +225,7 @@ mod tests {
 
     #[test]
     fn broadcast_respects_pattern() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
         let a = r.create_actor(s, None).unwrap();
@@ -550,7 +243,7 @@ mod tests {
     fn suspend_policy_holds_message_until_match_appears() {
         // §5.6: "send and broadcast messages are suspended until at least
         // one actor arrives whose attribute matches the pattern."
-        let mut r = reg(); // default = Suspend
+        let r = reg(); // default = Suspend
         let s = r.create_space(None);
         let (got, mut sink) = collector();
         let d = r
@@ -558,19 +251,19 @@ mod tests {
             .unwrap();
         assert_eq!(d, Disposition::Suspended);
         assert_eq!(got.len(), 0);
-        assert_eq!(r.space(s).unwrap().pending().len(), 1);
+        assert_eq!(r.space_info(s).unwrap().pending_messages, 1);
 
         // The matching actor arrives; the suspended message is released.
         let a = r.create_actor(s, None).unwrap();
         r.make_visible(a.into(), vec![path("late/worker")], s, None, &mut sink)
             .unwrap();
         assert_eq!(got.take(), vec![(a, "early-job")]);
-        assert!(r.space(s).unwrap().pending().is_empty());
+        assert_eq!(r.space_info(s).unwrap().pending_messages, 0);
     }
 
     #[test]
     fn suspended_broadcast_wakes_to_all_present_matches() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let (got, mut sink) = collector();
         r.broadcast(&pattern("w/*"), s, "b", &mut sink).unwrap();
@@ -590,7 +283,7 @@ mod tests {
 
     #[test]
     fn attribute_change_can_wake_suspended_message() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
@@ -606,7 +299,7 @@ mod tests {
 
     #[test]
     fn discard_policy_drops() {
-        let mut r = reg_with(UnmatchedPolicy::Discard);
+        let r = reg_with(UnmatchedPolicy::Discard);
         let s = r.create_space(None);
         let (got, mut sink) = collector();
         assert_eq!(
@@ -618,12 +311,12 @@ mod tests {
             Disposition::Discarded
         );
         assert_eq!(got.len(), 0);
-        assert!(r.space(s).unwrap().pending().is_empty());
+        assert_eq!(r.space_info(s).unwrap().pending_messages, 0);
     }
 
     #[test]
     fn error_policy_reports_no_match() {
-        let mut r = reg_with(UnmatchedPolicy::Error);
+        let r = reg_with(UnmatchedPolicy::Error);
         let s = r.create_space(None);
         let (_, mut sink) = collector();
         assert!(matches!(
@@ -641,7 +334,7 @@ mod tests {
         // §5.6: "broadcasting could be persistent, so that any actor
         // (existing or created in the future) whose attributes match the
         // pattern will receive the broadcast message exactly once."
-        let mut r = reg_with(UnmatchedPolicy::Persistent);
+        let r = reg_with(UnmatchedPolicy::Persistent);
         let s = r.create_space(None);
         let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
         let a = r.create_actor(s, None).unwrap();
@@ -677,7 +370,7 @@ mod tests {
 
     #[test]
     fn cancel_persistent_stops_future_deliveries() {
-        let mut r = reg_with(UnmatchedPolicy::Persistent);
+        let r = reg_with(UnmatchedPolicy::Persistent);
         let s = r.create_space(None);
         let (got, mut sink) = collector();
         r.broadcast(&pattern("node"), s, "hello", &mut sink)
@@ -693,7 +386,7 @@ mod tests {
     fn wake_propagates_to_ancestor_spaces() {
         // A message suspended in the OUTER space must wake when a matching
         // actor appears in a nested space (the join makes it matchable).
-        let mut r = reg();
+        let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
@@ -717,7 +410,7 @@ mod tests {
             selection: SelectionPolicy::RoundRobin,
             ..Default::default()
         };
-        let mut r: Registry<&'static str> = Registry::new(p);
+        let r: ShardedRegistry<&'static str> = ShardedRegistry::new(p);
         let (s, mut workers) = {
             let s = r.create_space(None);
             let mut v = Vec::new();
@@ -750,8 +443,8 @@ mod tests {
                 c.iter().max().copied()
             }
         }
-        let mut r = reg();
-        let (s, workers) = setup_workers(&mut r, 5);
+        let r = reg();
+        let (s, workers) = setup_workers(&r, 5);
         r.set_space_manager(s, Box::new(AlwaysMax), None).unwrap();
         let top = *workers.iter().max().unwrap();
         for _ in 0..10 {
@@ -763,7 +456,7 @@ mod tests {
 
     #[test]
     fn send_to_missing_space_errors() {
-        let mut r = reg();
+        let r = reg();
         let (_, mut sink) = collector();
         assert!(matches!(
             r.send(&pattern("x"), SpaceId(404), "m", &mut sink),

@@ -8,21 +8,20 @@
 //! garbage collecting them is simpler than actors: inverse reachability
 //! need not be considered."
 //!
-//! The collector is a stop-the-world mark/sweep over two kinds of edges:
+//! The collector,
+//! [`ShardedRegistry::collect_garbage`](crate::ShardedRegistry::collect_garbage),
+//! is a stop-the-world mark/sweep over two kinds of edges:
 //!
 //! * **space → member**: a live space keeps its visible members
 //!   potentially-reachable (a pattern can still select them);
 //! * **actor → acquaintance**: a live actor keeps alive every mail address
-//!   it knows. The registry cannot see inside behaviors, so the runtime
+//!   it knows. The coordinator cannot see inside behaviors, so the runtime
 //!   supplies acquaintances through a callback.
 //!
 //! Roots are the automatically-created root space (globally visible, §7.1)
 //! and actors with live external handles.
 
-use std::collections::HashSet;
-
-use crate::ids::{ActorId, MemberId, SpaceId, ROOT_SPACE};
-use crate::registry::Registry;
+use crate::ids::{ActorId, SpaceId};
 
 /// What a collection pass found and freed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,83 +36,18 @@ pub struct GcReport {
     pub live_spaces: usize,
 }
 
-impl<M: Clone> Registry<M> {
-    /// Runs a mark/sweep collection. `acquaintances` reports, for a live
-    /// actor, every mail address its current behavior holds; pass
-    /// `|_| Vec::new()` when behaviors hold no addresses (or when the
-    /// caller only wants visibility-reachability, as in the paper's
-    /// simplified discussion).
-    pub fn collect_garbage(
-        &mut self,
-        acquaintances: &dyn Fn(ActorId) -> Vec<MemberId>,
-    ) -> GcReport {
-        let mut live_actors: HashSet<ActorId> = HashSet::new();
-        let mut live_spaces: HashSet<SpaceId> = HashSet::new();
-
-        let mut work: Vec<MemberId> = Vec::new();
-        work.push(MemberId::Space(ROOT_SPACE));
-        for &a in self.roots() {
-            work.push(MemberId::Actor(a));
-        }
-
-        while let Some(m) = work.pop() {
-            match m {
-                MemberId::Actor(a) => {
-                    if !self.actor_exists(a) || !live_actors.insert(a) {
-                        continue;
-                    }
-                    work.extend(acquaintances(a));
-                }
-                MemberId::Space(s) => {
-                    if !live_spaces.insert(s) {
-                        continue;
-                    }
-                    let Ok(space) = self.space(s) else { continue };
-                    // A live space keeps its visible members reachable.
-                    work.extend(space.members().keys().copied());
-                }
-            }
-        }
-
-        let mut collected_actors: Vec<ActorId> = self
-            .actor_ids()
-            .filter(|a| !live_actors.contains(a))
-            .collect();
-        let mut collected_spaces: Vec<SpaceId> = self
-            .space_ids()
-            .filter(|s| !live_spaces.contains(s))
-            .collect();
-        collected_actors.sort_unstable();
-        collected_spaces.sort_unstable();
-
-        // Sweep spaces first (membership removal is cheaper once gone), then
-        // actors.
-        for &s in &collected_spaces {
-            self.remove_space_internal(s);
-        }
-        for &a in &collected_actors {
-            self.remove_actor_internal(a);
-        }
-
-        GcReport {
-            collected_actors,
-            collected_spaces,
-            live_actors: self.actor_count(),
-            live_spaces: self.space_count(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{MemberId, ROOT_SPACE};
     use crate::policy::ManagerPolicy;
+    use crate::ShardedRegistry;
     use actorspace_atoms::path;
 
-    type Reg = Registry<u32>;
+    type Reg = ShardedRegistry<u32>;
 
     fn reg() -> Reg {
-        Registry::new(ManagerPolicy::default())
+        ShardedRegistry::new(ManagerPolicy::default())
     }
 
     fn no_acq(_: ActorId) -> Vec<MemberId> {
@@ -126,7 +60,7 @@ mod tests {
 
     #[test]
     fn unreferenced_invisible_actor_is_collected() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let report = r.collect_garbage(&no_acq);
@@ -136,7 +70,7 @@ mod tests {
 
     #[test]
     fn rooted_actor_survives() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         r.add_root(a);
@@ -152,7 +86,7 @@ mod tests {
     #[test]
     fn visible_actor_in_reachable_space_survives() {
         // §5.5: visibility implies potential reachability.
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let holder = r.create_actor(s, None).unwrap();
         r.add_root(holder);
@@ -176,7 +110,7 @@ mod tests {
 
     #[test]
     fn actor_visible_only_in_dead_space_is_collected_with_it() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None); // nobody references s
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();
@@ -189,7 +123,7 @@ mod tests {
 
     #[test]
     fn actor_in_root_space_survives_forever() {
-        let mut r = reg();
+        let r = reg();
         let a = r.create_actor(ROOT_SPACE, None).unwrap();
         let mut k = sink();
         r.make_visible(a.into(), vec![path("w")], ROOT_SPACE, None, &mut k)
@@ -201,7 +135,7 @@ mod tests {
 
     #[test]
     fn root_space_is_never_collected() {
-        let mut r = reg();
+        let r = reg();
         let report = r.collect_garbage(&no_acq);
         assert!(report.collected_spaces.is_empty());
         assert_eq!(report.live_spaces, 1);
@@ -209,7 +143,7 @@ mod tests {
 
     #[test]
     fn acquaintance_chains_keep_actors_alive() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
@@ -234,7 +168,7 @@ mod tests {
     #[test]
     fn space_reachable_only_through_nesting_survives() {
         // inner visible in outer; outer visible in root ⇒ both live.
-        let mut r = reg();
+        let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let mut k = sink();
@@ -251,7 +185,7 @@ mod tests {
     fn collecting_space_does_not_collect_its_rooted_members() {
         // §5.5: "the actors contained in that actorSpace themselves are not
         // deleted" — when otherwise reachable.
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();
@@ -266,7 +200,7 @@ mod tests {
 
     #[test]
     fn report_counts_are_consistent() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         for _ in 0..10 {
             r.create_actor(s, None).unwrap();

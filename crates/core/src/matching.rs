@@ -21,21 +21,13 @@ use actorspace_pattern::{Pattern, StateSet};
 
 use crate::error::{Error, Result};
 use crate::ids::{ActorId, MemberId, SpaceId};
-use crate::registry::Registry;
 use crate::space::Space;
 
-/// Read access to spaces during a resolution walk. Implemented both by the
-/// single-lock [`Registry`]'s space map and by the sharded registry's
-/// ordered set of locked shards, so one walk serves both coordinators.
+/// Read access to spaces during a resolution walk: the coordinator's set of
+/// locked shards (or its single-shard fast path).
 pub(crate) trait SpaceStore<M> {
     /// The space, if it exists in this view.
     fn get_space(&self, id: SpaceId) -> Option<&Space<M>>;
-}
-
-impl<M> SpaceStore<M> for std::collections::HashMap<SpaceId, Space<M>> {
-    fn get_space(&self, id: SpaceId) -> Option<&Space<M>> {
-        self.get(&id)
-    }
 }
 
 /// Resolves `pattern` in `space` to the set of matching visible actors,
@@ -92,8 +84,9 @@ pub(crate) fn resolve_actors<M>(
     Ok(v)
 }
 
-/// Resolves `pattern` to matching *spaces* (see
-/// [`Registry::resolve_spaces`]).
+/// Resolves `pattern` to matching *spaces* — §5.3: "the actorSpace
+/// specification … may itself be pattern based." The search scope is
+/// `space`, descending as for actors.
 pub(crate) fn resolve_spaces_in<M>(
     store: &impl SpaceStore<M>,
     pattern: &Pattern,
@@ -302,44 +295,17 @@ fn walk_spaces<M>(
     Ok(())
 }
 
-impl<M: Clone> Registry<M> {
-    /// Resolves `pattern` in `space` to the set of matching visible actors,
-    /// descending through visible sub-spaces per the structured-attribute
-    /// rule. The result is deduplicated and sorted (an actor visible via
-    /// several attribute paths is returned once).
-    pub fn resolve(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<ActorId>> {
-        resolve_actors(self.spaces_map(), pattern, space)
-    }
-
-    /// Resolves `pattern` to matching *spaces* — §5.3: "the actorSpace
-    /// specification … may itself be pattern based." The search scope is
-    /// `space`, descending as for actors.
-    pub fn resolve_spaces(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<SpaceId>> {
-        resolve_spaces_in(self.spaces_map(), pattern, space)
-    }
-
-    /// Resolves a pattern-addressed space to exactly one space id, erroring
-    /// when nothing matches. When several spaces match, the lowest id is
-    /// chosen (deterministic).
-    pub fn resolve_space_pattern(&self, pattern: &Pattern, scope: SpaceId) -> Result<SpaceId> {
-        let spaces = self.resolve_spaces(pattern, scope)?;
-        spaces.into_iter().next().ok_or_else(|| Error::NoMatch {
-            pattern: pattern.text().to_owned(),
-            space: scope,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::ROOT_SPACE;
     use crate::policy::ManagerPolicy;
+    use crate::ShardedRegistry;
     use actorspace_atoms::path;
     use actorspace_pattern::pattern;
 
-    fn reg() -> Registry<u32> {
-        Registry::new(ManagerPolicy::default())
+    fn reg() -> ShardedRegistry<u32> {
+        ShardedRegistry::new(ManagerPolicy::default())
     }
 
     fn sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
@@ -348,7 +314,7 @@ mod tests {
 
     #[test]
     fn resolve_by_exact_attribute() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
@@ -365,7 +331,7 @@ mod tests {
     #[test]
     fn star_matches_all_single_attribute_actors() {
         // The paper's `send(*@ProcPool, job, self)`.
-        let mut r = reg();
+        let r = reg();
         let pool = r.create_space(None);
         let mut k = sink();
         let mut all = Vec::new();
@@ -390,7 +356,7 @@ mod tests {
     fn matching_is_scoped_to_the_space() {
         // §5.2: patterns match only against attributes visible in the
         // *specified* actorSpace.
-        let mut r = reg();
+        let r = reg();
         let s1 = r.create_space(None);
         let s2 = r.create_space(None);
         let a = r.create_actor(s1, None).unwrap();
@@ -405,7 +371,7 @@ mod tests {
     #[test]
     fn structured_attributes_descend_into_subspaces() {
         // Actor `fib` in space T; T visible as `srv` in S ⇒ `srv/fib` from S.
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let t = r.create_space(None);
         let a = r.create_actor(t, None).unwrap();
@@ -426,7 +392,7 @@ mod tests {
     #[test]
     fn multi_level_nesting() {
         // wan ⊃ lan ⊃ host: actor reachable as wan-pattern from the top.
-        let mut r = reg();
+        let r = reg();
         let wan = r.create_space(None);
         let lan = r.create_space(None);
         let host = r.create_space(None);
@@ -450,7 +416,7 @@ mod tests {
     fn empty_attribute_makes_nesting_transparent() {
         // A sub-space registered under the empty path contributes no prefix:
         // its members match as if they were direct members.
-        let mut r = reg();
+        let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let a = r.create_actor(inner, None).unwrap();
@@ -470,7 +436,7 @@ mod tests {
 
     #[test]
     fn actor_visible_via_multiple_paths_is_returned_once() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();
@@ -482,7 +448,7 @@ mod tests {
     #[test]
     fn diamond_overlap_deduplicates() {
         // inner visible in two mid spaces, both visible in top.
-        let mut r = reg();
+        let r = reg();
         let top = r.create_space(None);
         let m1 = r.create_space(None);
         let m2 = r.create_space(None);
@@ -508,7 +474,7 @@ mod tests {
             max_match_depth: 1,
             ..Default::default()
         };
-        let mut r: Registry<u32> = Registry::new(policy);
+        let r: ShardedRegistry<u32> = ShardedRegistry::new(policy);
         let top = r.create_space(None);
         let mid = r.create_space(None);
         let bot = r.create_space(None);
@@ -528,7 +494,7 @@ mod tests {
 
     #[test]
     fn resolve_spaces_finds_spaces_by_pattern() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let t1 = r.create_space(None);
         let t2 = r.create_space(None);
@@ -562,7 +528,7 @@ mod tests {
 
     #[test]
     fn literal_fast_path_descends_nested_spaces() {
-        let mut r = reg();
+        let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let a = r.create_actor(inner, None).unwrap();
@@ -594,7 +560,7 @@ mod tests {
 
     #[test]
     fn literal_index_tracks_attribute_changes() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();
@@ -615,7 +581,7 @@ mod tests {
             use_literal_index: false,
             ..Default::default()
         };
-        let mut r: Registry<u32> = Registry::new(policy);
+        let r: ShardedRegistry<u32> = ShardedRegistry::new(policy);
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| {};
@@ -634,7 +600,7 @@ mod tests {
             cycles: CyclePolicy::TolerateWithDedup,
             ..Default::default()
         };
-        let mut r: Registry<u32> = Registry::new(policy);
+        let r: ShardedRegistry<u32> = ShardedRegistry::new(policy);
         let s = r.create_space(None);
         let t = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
@@ -668,7 +634,7 @@ mod tests {
     #[test]
     fn match_filter_customizes_matching_rules() {
         use std::sync::Arc;
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
@@ -699,7 +665,7 @@ mod tests {
     #[test]
     fn match_filter_applies_on_the_literal_fast_path() {
         use std::sync::Arc;
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();
@@ -721,7 +687,7 @@ mod tests {
             selection: SelectionPolicy::LeastLoaded,
             ..Default::default()
         };
-        let mut r: Registry<u32> = Registry::new(policy);
+        let r: ShardedRegistry<u32> = ShardedRegistry::new(policy);
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
@@ -746,7 +712,7 @@ mod tests {
 
     #[test]
     fn forbid_policy_still_rejects_cycles() {
-        let mut r = reg(); // default Forbid
+        let r = reg(); // default Forbid
         let s = r.create_space(None);
         let mut k = sink();
         assert!(matches!(
@@ -757,7 +723,7 @@ mod tests {
 
     #[test]
     fn invisible_actor_never_matches() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let mut k = sink();

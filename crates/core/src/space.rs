@@ -18,6 +18,34 @@ use crate::ids::{ActorId, MemberId, SpaceId};
 use crate::manager::{DefaultManager, Manager};
 use crate::policy::{ManagerPolicy, Selector};
 
+/// Per-actor bookkeeping.
+#[derive(Debug, Clone)]
+pub struct ActorRecord {
+    /// The capability guard protecting this actor's visibility/attributes.
+    pub guard: Guard,
+    /// The space the actor was created in (§7.1: its "host" space). Used as
+    /// the default pattern-resolution scope; does *not* imply visibility.
+    pub host: SpaceId,
+}
+
+/// Observability snapshot of one actorSpace (see
+/// [`ShardedRegistry::space_info`](crate::ShardedRegistry::space_info)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpaceInfo {
+    /// The space.
+    pub id: SpaceId,
+    /// Visible actor members.
+    pub actor_members: usize,
+    /// Visible sub-space members.
+    pub space_members: usize,
+    /// Suspended messages waiting for a match (§5.6).
+    pub pending_messages: usize,
+    /// Registered persistent broadcasts (§5.6).
+    pub persistent_broadcasts: usize,
+    /// True when a capability guards the space.
+    pub guarded: bool,
+}
+
 /// A custom matching rule (§5's nod to first-class tuple spaces: "tuple
 /// spaces define policies which allow customization of matching rules …
 /// our notion of customizable actorSpace managers incorporates the power
@@ -123,8 +151,8 @@ impl<M> Space<M> {
         &self.policy
     }
 
-    /// Replaces the policy table (requires `Rights::MANAGE` at the registry
-    /// API; this is the raw mutation).
+    /// Replaces the policy table (requires `Rights::MANAGE` at the
+    /// coordinator API; this is the raw mutation).
     pub fn set_policy(&mut self, policy: ManagerPolicy) {
         self.selector = Selector::new(policy.selection.clone(), policy.selection_seed);
         self.policy = policy;

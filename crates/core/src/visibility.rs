@@ -10,47 +10,15 @@
 //! cycles means that a visibility relation graph must be constructed
 //! before an actorSpace is allowed to be visible."
 //!
-//! The graph here *is* the membership tables: an edge `P → C` exists when
-//! space `C` is visible in space `P`. `make_visible(C in P)` is legal iff
-//! `P` is not reachable from `C` (and `C ≠ P`).
+//! The graph is the coordinator's edge map `parent → visible sub-spaces`
+//! (the mirror of the `MemberId::Space` entries in the membership tables):
+//! an edge `P → C` exists when space `C` is visible in space `P`.
+//! `make_visible(C in P)` is legal iff `P` is not reachable from `C` (and
+//! `C ≠ P`).
 
 use std::collections::{HashMap, HashSet};
 
 use crate::ids::{MemberId, SpaceId};
-use crate::space::Space;
-
-/// Would making `child` visible in `parent` create a cycle? True iff
-/// `child == parent` or `parent` is reachable from `child` through
-/// space-in-space visibility edges.
-pub fn would_cycle<M>(
-    spaces: &HashMap<SpaceId, Space<M>>,
-    child: SpaceId,
-    parent: SpaceId,
-) -> bool {
-    if child == parent {
-        return true;
-    }
-    // DFS from `child` through its visible sub-spaces.
-    let mut stack = vec![child];
-    let mut seen = HashSet::new();
-    seen.insert(child);
-    while let Some(s) = stack.pop() {
-        let Some(space) = spaces.get(&s) else {
-            continue;
-        };
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if *sub == parent {
-                    return true;
-                }
-                if seen.insert(*sub) {
-                    stack.push(*sub);
-                }
-            }
-        }
-    }
-    false
-}
 
 /// All spaces from which `start` is transitively reachable (the spaces
 /// whose pattern resolutions can descend into `start`), including `start`
@@ -74,11 +42,10 @@ pub fn ancestors(
     out
 }
 
-/// Forward reachability over an explicit edge map `parent → visible
-/// sub-spaces`: every space a pattern resolution scoped to `from` can
-/// descend into, including `from` itself. The sharded coordinator keeps
-/// this edge map in its meta table so lock sets can be computed without
-/// touching any shard.
+/// Forward reachability over the edge map: every space a pattern
+/// resolution scoped to `from` can descend into, including `from` itself.
+/// The coordinator keeps the edge map in its meta table so lock sets can
+/// be computed without touching any shard.
 pub fn reachable(edges: &HashMap<SpaceId, HashSet<SpaceId>>, from: SpaceId) -> HashSet<SpaceId> {
     let mut out = HashSet::new();
     out.insert(from);
@@ -95,9 +62,9 @@ pub fn reachable(edges: &HashMap<SpaceId, HashSet<SpaceId>>, from: SpaceId) -> H
     out
 }
 
-/// [`would_cycle`] over an explicit edge map instead of the space table:
-/// true iff `child == parent` or `parent` is reachable from `child`.
-pub fn would_cycle_edges(
+/// Would making `child` visible in `parent` create a cycle? True iff
+/// `child == parent` or `parent` is reachable from `child`.
+pub fn would_cycle(
     edges: &HashMap<SpaceId, HashSet<SpaceId>>,
     child: SpaceId,
     parent: SpaceId,
@@ -105,8 +72,10 @@ pub fn would_cycle_edges(
     child == parent || reachable(edges, child).contains(&parent)
 }
 
-/// [`is_dag`] over an explicit node set + edge map (Kahn's algorithm).
-pub fn is_dag_edges(nodes: &HashSet<SpaceId>, edges: &HashMap<SpaceId, HashSet<SpaceId>>) -> bool {
+/// Is the visibility relation over `nodes` acyclic (Kahn's algorithm)?
+/// Checked by property tests and, under `--features lockcheck`, after every
+/// topology mutation.
+pub fn is_dag(nodes: &HashSet<SpaceId>, edges: &HashMap<SpaceId, HashSet<SpaceId>>) -> bool {
     let mut indegree: HashMap<SpaceId, usize> = nodes.iter().map(|&s| (s, 0)).collect();
     for subs in edges.values() {
         for sub in subs {
@@ -137,97 +106,52 @@ pub fn is_dag_edges(nodes: &HashSet<SpaceId>, edges: &HashMap<SpaceId, HashSet<S
     visited == nodes.len()
 }
 
-/// Validates that the whole visibility relation is acyclic — an invariant
-/// checked by property tests after random operation sequences.
-pub fn is_dag<M>(spaces: &HashMap<SpaceId, Space<M>>) -> bool {
-    // Kahn's algorithm over the space-in-space edges.
-    let mut indegree: HashMap<SpaceId, usize> = spaces.keys().map(|&s| (s, 0)).collect();
-    for space in spaces.values() {
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if let Some(d) = indegree.get_mut(sub) {
-                    *d += 1;
-                }
-            }
-        }
-    }
-    let mut queue: Vec<SpaceId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&s, _)| s)
-        .collect();
-    let mut visited = 0usize;
-    while let Some(s) = queue.pop() {
-        visited += 1;
-        let Some(space) = spaces.get(&s) else {
-            continue;
-        };
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if let Some(d) = indegree.get_mut(sub) {
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(*sub);
-                    }
-                }
-            }
-        }
-    }
-    visited == spaces.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ManagerPolicy;
-    use actorspace_capability::Guard;
 
-    fn mk(n: u64) -> (HashMap<SpaceId, Space<u32>>, Vec<SpaceId>) {
-        let mut spaces = HashMap::new();
+    type Edges = HashMap<SpaceId, HashSet<SpaceId>>;
+
+    fn mk(n: u64) -> (Edges, HashSet<SpaceId>, Vec<SpaceId>) {
         let ids: Vec<SpaceId> = (0..n).map(SpaceId).collect();
-        for &id in &ids {
-            spaces.insert(id, Space::new(id, Guard::Open, ManagerPolicy::default()));
-        }
-        (spaces, ids)
+        (Edges::new(), ids.iter().copied().collect(), ids)
     }
 
-    fn link<M>(spaces: &mut HashMap<SpaceId, Space<M>>, child: SpaceId, parent: SpaceId) {
-        spaces
-            .get_mut(&parent)
-            .unwrap()
-            .add_member(MemberId::Space(child), vec![actorspace_atoms::path("x")]);
+    /// `child` becomes visible in `parent`: edge `parent → child`.
+    fn link(edges: &mut Edges, child: SpaceId, parent: SpaceId) {
+        edges.entry(parent).or_default().insert(child);
     }
 
     #[test]
     fn self_loop_detected() {
-        let (spaces, ids) = mk(1);
-        assert!(would_cycle(&spaces, ids[0], ids[0]));
+        let (edges, _, ids) = mk(1);
+        assert!(would_cycle(&edges, ids[0], ids[0]));
     }
 
     #[test]
     fn chain_is_fine_but_closing_it_is_not() {
-        let (mut spaces, ids) = mk(3);
+        let (mut edges, nodes, ids) = mk(3);
         // 0 visible in 1, 1 visible in 2: edges 1→0, 2→1.
-        link(&mut spaces, ids[0], ids[1]);
-        link(&mut spaces, ids[1], ids[2]);
-        assert!(is_dag(&spaces));
+        link(&mut edges, ids[0], ids[1]);
+        link(&mut edges, ids[1], ids[2]);
+        assert!(is_dag(&nodes, &edges));
         // Closing the loop: 2 visible in 0 would cycle.
-        assert!(would_cycle(&spaces, ids[2], ids[0]));
+        assert!(would_cycle(&edges, ids[2], ids[0]));
         // A diamond is fine: 0 visible in 2 directly.
-        assert!(!would_cycle(&spaces, ids[0], ids[2]));
-        link(&mut spaces, ids[0], ids[2]);
-        assert!(is_dag(&spaces));
+        assert!(!would_cycle(&edges, ids[0], ids[2]));
+        link(&mut edges, ids[0], ids[2]);
+        assert!(is_dag(&nodes, &edges));
     }
 
     #[test]
     fn deep_chain_reachability() {
-        let (mut spaces, ids) = mk(50);
+        let (mut edges, nodes, ids) = mk(50);
         for w in ids.windows(2) {
-            link(&mut spaces, w[0], w[1]); // i visible in i+1
+            link(&mut edges, w[0], w[1]); // i visible in i+1
         }
-        assert!(would_cycle(&spaces, *ids.last().unwrap(), ids[0]));
-        assert!(!would_cycle(&spaces, ids[0], *ids.last().unwrap()));
-        assert!(is_dag(&spaces));
+        assert!(would_cycle(&edges, *ids.last().unwrap(), ids[0]));
+        assert!(!would_cycle(&edges, ids[0], *ids.last().unwrap()));
+        assert!(is_dag(&nodes, &edges));
     }
 
     #[test]
@@ -245,7 +169,7 @@ mod tests {
     #[test]
     fn edge_map_helpers_mirror_space_table_walks() {
         // edges: 2 → {1}, 1 → {0} (0 visible in 1, 1 visible in 2)
-        let mut edges: HashMap<SpaceId, HashSet<SpaceId>> = HashMap::new();
+        let mut edges: Edges = HashMap::new();
         edges.insert(SpaceId(2), [SpaceId(1)].into());
         edges.insert(SpaceId(1), [SpaceId(0)].into());
         let nodes: HashSet<SpaceId> = [SpaceId(0), SpaceId(1), SpaceId(2)].into();
@@ -255,21 +179,21 @@ mod tests {
             [SpaceId(0), SpaceId(1), SpaceId(2)].into()
         );
         assert_eq!(reachable(&edges, SpaceId(0)), [SpaceId(0)].into());
-        assert!(would_cycle_edges(&edges, SpaceId(0), SpaceId(0)));
-        assert!(would_cycle_edges(&edges, SpaceId(2), SpaceId(0)));
-        assert!(!would_cycle_edges(&edges, SpaceId(0), SpaceId(2)));
-        assert!(is_dag_edges(&nodes, &edges));
+        assert!(would_cycle(&edges, SpaceId(0), SpaceId(0)));
+        assert!(would_cycle(&edges, SpaceId(2), SpaceId(0)));
+        assert!(!would_cycle(&edges, SpaceId(0), SpaceId(2)));
+        assert!(is_dag(&nodes, &edges));
 
         edges.get_mut(&SpaceId(1)).unwrap().insert(SpaceId(2));
-        assert!(!is_dag_edges(&nodes, &edges));
+        assert!(!is_dag(&nodes, &edges));
     }
 
     #[test]
     fn is_dag_rejects_manufactured_cycle() {
-        let (mut spaces, ids) = mk(2);
+        let (mut edges, nodes, ids) = mk(2);
         // Bypass would_cycle to build a bad graph directly.
-        link(&mut spaces, ids[0], ids[1]);
-        link(&mut spaces, ids[1], ids[0]);
-        assert!(!is_dag(&spaces));
+        link(&mut edges, ids[0], ids[1]);
+        link(&mut edges, ids[1], ids[0]);
+        assert!(!is_dag(&nodes, &edges));
     }
 }

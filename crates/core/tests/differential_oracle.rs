@@ -1,17 +1,19 @@
-//! Differential oracle for the sharded coordinator.
+//! Differential oracle for the coordinator.
 //!
-//! The seed's single-lock [`Registry`] is the executable specification of
-//! the ActorSpace model; [`ShardedRegistry`] reimplements it behind
-//! per-space shard locks. This test replays random operation sequences —
-//! create/destroy, visibility churn (§5.7), sends and broadcasts with the
-//! §5.6 unmatched-message policies — against *both* coordinators built
-//! with the same deterministic selection seed, and asserts they agree on:
+//! [`ShardedRegistry`] keeps each space behind its own lock, with a literal
+//! index, single-shard fast paths and per-space metrics. The naive model in
+//! `naive_model/` is an independent specification of the same §5
+//! semantics: plain maps, linear scans, and resolution by listing every
+//! joined attribute path and filtering with `Pattern::matches`. This test
+//! replays random operation sequences — create/destroy, visibility churn
+//! (§5.7), sends and broadcasts with the §5.6 unmatched-message policies,
+//! garbage collection — against both, built with the same deterministic
+//! selection seed, and asserts they agree on:
 //!
 //! * per-operation results (`Disposition`s and errors),
-//! * the delivery multiset produced by each operation (the sharded wake
-//!   sweep visits spaces in ascending-id order while the reference sweeps
-//!   a hash set, so cross-space interleaving may differ — but the set of
-//!   deliveries, with multiplicity, must not),
+//! * the delivery multiset produced by each operation (the wake sweep
+//!   order across spaces is unspecified, so cross-space interleaving may
+//!   differ — but the set of deliveries, with multiplicity, must not),
 //! * the suspended-message set and persistent-broadcast table of every
 //!   space, including each broadcast's exactly-once `delivered` set,
 //! * `SpaceInfo`, membership containers, id tables, and resolution
@@ -21,20 +23,19 @@
 //! Sequences are seeded and shrinkable: a failure minimises to the
 //! shortest divergent op list.
 
+mod naive_model;
+
 use std::collections::BTreeSet;
 
 use actorspace_atoms::{path, Path};
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, GcReport, MemberId, Registry, Result, Route, ShardedRegistry, SpaceId,
-    SpaceInfo, ROOT_SPACE,
+    ActorId, Disposition, GcReport, MemberId, Result, Route, ShardedRegistry, SpaceId, SpaceInfo,
+    ROOT_SPACE,
 };
 use actorspace_pattern::{pattern, Pattern};
+use naive_model::{Coordinator, Deliveries, Model, Msg};
 use proptest::prelude::*;
-
-type Msg = u64;
-/// One operation's deliveries, compared as a multiset (sorted).
-type Deliveries = Vec<(ActorId, Msg)>;
 
 fn policy(unmatched: UnmatchedPolicy) -> ManagerPolicy {
     ManagerPolicy {
@@ -150,58 +151,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The common surface the differential test drives. Both coordinators
-/// implement the same model API; the trait just papers over `&mut self`
-/// (single-lock) vs `&self` (sharded) receivers.
-trait Coordinator {
-    fn create_space(&mut self) -> SpaceId;
-    fn create_actor(&mut self, host: SpaceId) -> Result<ActorId>;
-    fn make_visible(
-        &mut self,
-        member: MemberId,
-        attrs: Vec<Path>,
-        space: SpaceId,
-        out: &mut Deliveries,
-    ) -> Result<()>;
-    fn make_invisible(&mut self, member: MemberId, space: SpaceId) -> Result<()>;
-    fn change_attributes(
-        &mut self,
-        member: MemberId,
-        attrs: Vec<Path>,
-        space: SpaceId,
-        out: &mut Deliveries,
-    ) -> Result<()>;
-    fn destroy_space(&mut self, space: SpaceId) -> Result<()>;
-    fn send(
-        &mut self,
-        pattern: &Pattern,
-        scope: SpaceId,
-        msg: Msg,
-        out: &mut Deliveries,
-    ) -> Result<Disposition>;
-    fn broadcast(
-        &mut self,
-        pattern: &Pattern,
-        scope: SpaceId,
-        msg: Msg,
-        out: &mut Deliveries,
-    ) -> Result<Disposition>;
-    fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize>;
-    fn collect(&mut self) -> GcReport;
-
-    fn space_ids(&self) -> Vec<SpaceId>;
-    fn actor_ids(&self) -> Vec<ActorId>;
-    fn info(&self, space: SpaceId) -> Option<SpaceInfo>;
-    /// Suspended messages of a space as a sorted set of
-    /// (pattern text, payload, is-broadcast) triples.
-    fn pending_set(&self, space: SpaceId) -> Vec<(String, Msg, bool)>;
-    /// Persistent broadcasts of a space as a sorted set of
-    /// (pattern text, payload, delivered-to) triples.
-    fn persistent_set(&self, space: SpaceId) -> Vec<(String, Msg, Vec<ActorId>)>;
-    fn containers_of(&self, member: MemberId) -> Vec<SpaceId>;
-    fn resolve(&self, pattern: &Pattern, scope: SpaceId) -> Result<Vec<ActorId>>;
-}
-
 fn pending_of<M: Clone + Ord>(sp: &actorspace_core::Space<M>) -> Vec<(String, M, bool)> {
     let mut v: Vec<(String, M, bool)> = sp
         .pending()
@@ -230,97 +179,6 @@ fn persistent_of<M: Clone + Ord>(sp: &actorspace_core::Space<M>) -> Vec<(String,
         .collect();
     v.sort();
     v
-}
-
-impl Coordinator for Registry<Msg> {
-    fn create_space(&mut self) -> SpaceId {
-        Registry::create_space(self, None)
-    }
-    fn create_actor(&mut self, host: SpaceId) -> Result<ActorId> {
-        Registry::create_actor(self, host, None)
-    }
-    fn make_visible(
-        &mut self,
-        member: MemberId,
-        attrs: Vec<Path>,
-        space: SpaceId,
-        out: &mut Deliveries,
-    ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::make_visible(self, member, attrs, space, None, &mut sink)
-    }
-    fn make_invisible(&mut self, member: MemberId, space: SpaceId) -> Result<()> {
-        Registry::make_invisible(self, member, space, None)
-    }
-    fn change_attributes(
-        &mut self,
-        member: MemberId,
-        attrs: Vec<Path>,
-        space: SpaceId,
-        out: &mut Deliveries,
-    ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::change_attributes(self, member, attrs, space, None, &mut sink)
-    }
-    fn destroy_space(&mut self, space: SpaceId) -> Result<()> {
-        Registry::destroy_space(self, space, None)
-    }
-    fn send(
-        &mut self,
-        pattern: &Pattern,
-        scope: SpaceId,
-        msg: Msg,
-        out: &mut Deliveries,
-    ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::send(self, pattern, scope, msg, &mut sink)
-    }
-    fn broadcast(
-        &mut self,
-        pattern: &Pattern,
-        scope: SpaceId,
-        msg: Msg,
-        out: &mut Deliveries,
-    ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::broadcast(self, pattern, scope, msg, &mut sink)
-    }
-    fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize> {
-        Registry::cancel_persistent(self, space, None)
-    }
-    fn collect(&mut self) -> GcReport {
-        Registry::collect_garbage(self, &|_| Vec::new())
-    }
-    fn space_ids(&self) -> Vec<SpaceId> {
-        let mut v: Vec<SpaceId> = Registry::space_ids(self).collect();
-        v.sort();
-        v
-    }
-    fn actor_ids(&self) -> Vec<ActorId> {
-        let mut v: Vec<ActorId> = Registry::actor_ids(self).collect();
-        v.sort();
-        v
-    }
-    fn info(&self, space: SpaceId) -> Option<SpaceInfo> {
-        Registry::space_info(self, space).ok()
-    }
-    fn pending_set(&self, space: SpaceId) -> Vec<(String, Msg, bool)> {
-        self.space(space).map(pending_of).unwrap_or_default()
-    }
-    fn persistent_set(&self, space: SpaceId) -> Vec<(String, Msg, Vec<ActorId>)> {
-        self.space(space).map(persistent_of).unwrap_or_default()
-    }
-    fn containers_of(&self, member: MemberId) -> Vec<SpaceId> {
-        let mut v: Vec<SpaceId> = Registry::containers_of(self, member).collect();
-        v.sort();
-        v
-    }
-    fn resolve(&self, pattern: &Pattern, scope: SpaceId) -> Result<Vec<ActorId>> {
-        Registry::resolve(self, pattern, scope).map(|mut v| {
-            v.sort();
-            v
-        })
-    }
 }
 
 impl Coordinator for ShardedRegistry<Msg> {
@@ -504,23 +362,23 @@ fn apply(
     (outcome, out)
 }
 
-/// Runs a sequence against both coordinators and asserts observational
-/// equivalence per op and on the final state.
+/// Runs a sequence against the model and the coordinator and asserts
+/// observational equivalence per op and on the final state.
 fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
-    let mut reference: Registry<Msg> = Registry::new(policy(unmatched));
+    let mut reference = Model::new(policy(unmatched));
     let mut sharded: ShardedRegistry<Msg> = ShardedRegistry::new(policy(unmatched));
 
     // Seed both with the same starting universe.
     let mut spaces = vec![ROOT_SPACE];
     let mut actors = Vec::new();
     for _ in 0..3 {
-        let a = reference.create_space(None);
+        let a = reference.create_space();
         let b = sharded.create_space(None);
         assert_eq!(a, b, "space id streams diverged at birth");
         spaces.push(a);
     }
     for _ in 0..4 {
-        let a = Registry::create_actor(&mut reference, ROOT_SPACE, None).unwrap();
+        let a = reference.create_actor(ROOT_SPACE).unwrap();
         let b = ShardedRegistry::create_actor(&sharded, ROOT_SPACE, None).unwrap();
         assert_eq!(a, b, "actor id streams diverged at birth");
         actors.push(a);

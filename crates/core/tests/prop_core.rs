@@ -1,4 +1,4 @@
-//! Property tests for the core registry: the visibility DAG invariant under
+//! Property tests for the coordinator: the visibility DAG invariant under
 //! random operation sequences, matching against a naive oracle, persistent
 //! exactly-once delivery, and GC safety.
 
@@ -7,12 +7,12 @@ use std::collections::{HashMap, HashSet};
 use actorspace_atoms::{path, Path};
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, MemberId, Registry, SpaceId, ROOT_SPACE,
+    ActorId, Disposition, MemberId, ShardedRegistry, SpaceId, ROOT_SPACE,
 };
 use actorspace_pattern::{pattern, Pattern};
 use proptest::prelude::*;
 
-type Reg = Registry<u64>;
+type Reg = ShardedRegistry<u64>;
 
 fn policy(unmatched: UnmatchedPolicy) -> ManagerPolicy {
     ManagerPolicy {
@@ -87,9 +87,9 @@ fn attrs(i: usize) -> Vec<Path> {
 }
 
 /// Applies ops, ignoring expected errors (cycles, missing targets), and
-/// returns the registry plus which spaces/actors still exist.
+/// returns the coordinator plus which spaces/actors still exist.
 fn run_ops(ops: &[Op]) -> (Reg, Vec<SpaceId>, Vec<ActorId>) {
-    let mut r: Reg = Registry::new(policy(UnmatchedPolicy::Discard));
+    let r: Reg = ShardedRegistry::new(policy(UnmatchedPolicy::Discard));
     let spaces: Vec<SpaceId> = std::iter::once(ROOT_SPACE)
         .chain((0..4).map(|_| r.create_space(None)))
         .collect();
@@ -154,8 +154,10 @@ fn oracle_resolve(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashS
         depth: usize,
         out: &mut Vec<(ActorId, Path)>,
     ) {
-        let Ok(sp) = r.space(space) else { return };
-        for (member, attrs) in sp.members() {
+        let Ok(members) = r.with_space(space, |sp| sp.members().clone()) else {
+            return;
+        };
+        for (member, attrs) in &members {
             for a in attrs {
                 let full = prefix.join(a);
                 match *member {
@@ -188,8 +190,8 @@ proptest! {
         // Reconstruct the space graph and Kahn-check it.
         let mut edges: HashMap<SpaceId, Vec<SpaceId>> = HashMap::new();
         for &s in &spaces {
-            if let Ok(sp) = r.space(s) {
-                for m in sp.members().keys() {
+            if let Ok(members) = r.with_space(s, |sp| sp.members().clone()) {
+                for m in members.keys() {
                     if let MemberId::Space(sub) = m {
                         edges.entry(s).or_default().push(*sub);
                     }
@@ -249,7 +251,7 @@ proptest! {
     fn persistent_broadcast_is_exactly_once(
         arrivals in proptest::collection::vec((0usize..6, any::<bool>()), 1..40)
     ) {
-        let mut r: Reg = Registry::new(policy(UnmatchedPolicy::Persistent));
+        let r: Reg = ShardedRegistry::new(policy(UnmatchedPolicy::Persistent));
         let s = r.create_space(None);
         let actors: Vec<ActorId> =
             (0..6).map(|_| r.create_actor(s, None).unwrap()).collect();
@@ -311,14 +313,14 @@ proptest! {
     /// the first collects nothing (fixpoint).
     #[test]
     fn gc_is_safe_and_idempotent(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let (mut r, _, actors) = run_ops(&ops);
+        let (r, _, actors) = run_ops(&ops);
         // Root half the actors.
         for a in actors.iter().take(3) {
             if r.actor_exists(*a) {
                 r.add_root(*a);
             }
         }
-        let before_live: HashSet<ActorId> = r.actor_ids().collect();
+        let before_live: HashSet<ActorId> = r.actor_ids().into_iter().collect();
         let report = r.collect_garbage(&|_| Vec::new());
         // Rooted actors survive.
         for a in actors.iter().take(3) {

@@ -1,10 +1,10 @@
 //! Cross-shard §5.6 semantics: suspended sends and persistent broadcasts
 //! must wake across shard boundaries.
 //!
-//! Under the single-lock registry every wake happened inside one critical
-//! section; the sharded coordinator instead computes a wake lock-set (the
-//! ancestors of the changed space, plus everything reachable from them)
-//! and sweeps suspended queues in ascending-SpaceId order. These tests pin
+//! There is no node-wide critical section to wake under: the coordinator
+//! computes a wake lock-set (the ancestors of the changed space, plus
+//! everything reachable from them) and sweeps suspended queues in
+//! ascending-SpaceId order. These tests pin
 //! the observable contract: a `make_visible` in one space wakes suspended
 //! sends parked in *other* spaces (overlapping scopes, transitive
 //! ancestors), and a persistent broadcast registered in an ancestor

@@ -2,7 +2,7 @@
 //! external coordinator.
 //!
 //! On a single node, visibility operations apply directly to the local
-//! [`Registry`](actorspace_core::Registry). In a cluster (§7.3), "the
+//! [`ShardedRegistry`](actorspace_core::ShardedRegistry). In a cluster (§7.3), "the
 //! current design needs a global ordering on individual broadcasts between
 //! coordinators to order visibility changes globally, so that all nodes
 //! have the same view of visibility" — so every state-changing primitive

@@ -3,8 +3,8 @@
 //! Each node associates "all the executing actors on a node with a single
 //! local coordinator". Here:
 //!
-//! * the **Coordinator** state is an [`actorspace_core::Registry`] behind a
-//!   lock, carrying out every ActorSpace primitive;
+//! * the **Coordinator** state is an [`actorspace_core::ShardedRegistry`]
+//!   (one lock per actorSpace), carrying out every ActorSpace primitive;
 //! * the **ActorInterface** is [`Ctx`], the handle behaviors use to invoke
 //!   primitives (create / send / become / make_visible / …);
 //! * the **three message ports** of the prototype (Behavior, Invocation,

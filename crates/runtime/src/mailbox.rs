@@ -10,6 +10,12 @@
 //!   of messages, then returns it to **idle** — re-scheduling itself if
 //!   messages raced in meanwhile.
 //!
+//! The producer writes `len` then reads `state`; the finishing worker
+//! writes `state` then reads `len`. Under release/acquire alone each side
+//! may miss the other's write (the store-buffer pattern) and strand a
+//! message in an idle mailbox, so those four accesses are `SeqCst`: in
+//! their single total order, at least one side sees the other's write.
+//!
 //! Port priority (paper §7.2 semantics): Behavior replacements are consumed
 //! before RPC replies, which are consumed before ordinary invocations.
 //! Within a port, delivery is FIFO. Across actors and for broadcasts no
@@ -60,7 +66,7 @@ impl Mailbox {
             Port::Rpc => self.rpc.lock().push_back((payload, route)),
             Port::Invocation => self.invocation.lock().push_back((payload, route)),
         }
-        self.len.fetch_add(1, Ordering::Release);
+        self.len.fetch_add(1, Ordering::SeqCst);
         self.try_schedule()
     }
 
@@ -68,7 +74,7 @@ impl Mailbox {
     /// (caller must inject the actor).
     pub fn try_schedule(&self) -> bool {
         self.state
-            .compare_exchange(IDLE, SCHEDULED, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(IDLE, SCHEDULED, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
@@ -80,11 +86,11 @@ impl Mailbox {
     /// Returns the mailbox to idle after a batch. Returns `true` if
     /// messages remain and the caller won the right to re-schedule.
     pub fn finish_running(&self) -> bool {
-        self.state.store(IDLE, Ordering::Release);
+        self.state.store(IDLE, Ordering::SeqCst);
         // Re-check: a producer may have enqueued after our last pop but
         // before the store above — it would have seen RUNNING and not
         // scheduled, so the responsibility is ours.
-        self.len.load(Ordering::Acquire) > 0 && self.try_schedule()
+        self.len.load(Ordering::SeqCst) > 0 && self.try_schedule()
     }
 
     /// Pops the next payload by port priority.

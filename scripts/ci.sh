@@ -34,14 +34,17 @@ echo "==> cargo test (workspace, lockcheck instrumentation on)"
 # DAG re-validated after every topology mutation. Any violation panics.
 cargo test --workspace -q --features lockcheck
 
-echo "==> shard stress (multi-threaded coordinator tests under parallel harness)"
+echo "==> stress (coordinator and mailbox tests in release)"
 # The sharded-coordinator stress and oracle tests spawn their own threads;
 # running the harness itself multi-threaded adds cross-test interleaving
 # on top. Release mode so the contention window is realistic.
 RUST_TEST_THREADS=4 cargo test --release -p actorspace-core \
   --test shard_stress --test shard_wakeup --test differential_oracle -q
+# 10^6 send-right-after-reply round trips: a message must never be
+# stranded in an idle mailbox (ignored in the debug suite, too slow there).
+cargo test --release -p actorspace-runtime --test mailbox_wakeup -q
 
-echo "==> E14 quick (sharded vs global-lock send throughput must stay ~parity)"
+echo "==> E14 quick (sharded coordinator send throughput, 1-8 threads)"
 E14_QUICK=1 cargo run --release -p actorspace-bench --bin experiments e14
 
 echo "==> E15 quick (obs delta streaming: views must converge; overhead report)"
@@ -49,6 +52,9 @@ E15_QUICK=1 cargo run --release -p actorspace-bench --bin experiments e15
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
+
+echo "==> asbench smoke tests (end-to-end benchmark: every reply checked)"
+cargo test --release --offline --manifest-path asbench/Cargo.toml
 
 echo "==> obs smoke (observe example under churn must self-check)"
 # The example asserts a non-empty metric snapshot and at least one
