@@ -1204,6 +1204,11 @@ impl Transport for NodeUplink {
                 .tracer
                 .record(r.trace, self.me.0, Stage::Routed { node: target.0 });
         }
+        if !actorspace_runtime::codec::nesting_fits(&msg.body) {
+            // The destination's decoder would reject it: refuse it here,
+            // where the sender sees the failed delivery.
+            return false;
+        }
         let bytes = actorspace_runtime::codec::message_to_bytes(&msg);
         pipe.send(WirePacket {
             to,

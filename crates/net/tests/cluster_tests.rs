@@ -42,6 +42,32 @@ fn cross_node_pattern_send() {
     c.shutdown();
 }
 
+/// `depth` lists around a unit value.
+fn nested(depth: usize) -> Value {
+    (0..depth).fold(Value::Unit, |v, _| Value::list([v]))
+}
+
+#[test]
+fn too_deep_a_body_is_refused_by_the_sending_node() {
+    use actorspace_runtime::codec::MAX_NESTING;
+    let c = cluster(2, OrderingProtocol::Sequencer);
+    let (inbox, rx) = c.node(0).system().inbox();
+    let worker = c.node(1).spawn(from_fn(move |ctx, msg| {
+        ctx.send_addr(inbox, msg.body);
+    }));
+    // At the limit the body crosses and comes back intact.
+    assert!(c.node(0).send_to(worker, nested(MAX_NESTING)));
+    let reply = rx.recv_timeout(TIMEOUT).unwrap();
+    assert_eq!(reply.body, nested(MAX_NESTING));
+    // One level deeper the receiver could not decode it, so the sender
+    // gets `false` and a dead letter instead of a silent drop over there.
+    assert!(!c.node(0).send_to(worker, nested(MAX_NESTING + 1)));
+    assert_eq!(c.node(0).stats().dead_letters, 1);
+    assert_eq!(c.node(0).stats().forwarded, 1);
+    assert_eq!(c.node(1).stats().decode_failures, 0);
+    c.shutdown();
+}
+
 #[test]
 fn visibility_is_coherent_across_all_nodes() {
     let c = cluster(4, OrderingProtocol::Sequencer);
@@ -71,6 +97,11 @@ fn token_bus_protocol_works_end_to_end() {
     let c = cluster(3, OrderingProtocol::TokenBus);
     let (inbox, rx) = c.node(2).system().inbox();
     let space = c.node(0).create_space(None);
+    // The token bus orders a node's submissions when that node holds the
+    // token, not causally across nodes: without this wait node 1's
+    // `make_visible` can be ordered before the space exists and fail on
+    // every replica.
+    assert!(c.await_coherence(TIMEOUT));
     let worker = c.node(1).spawn(from_fn(move |ctx, msg| {
         ctx.send_addr(inbox, msg.body);
     }));
