@@ -11,7 +11,7 @@
 //!   `parking_lot` types. Each lock is tagged with a [`LockClass`] at
 //!   construction. With the `lockcheck` feature **off** (the default) the
 //!   order checker adds nothing: every method is a direct delegation plus
-//!   the (runtime-switchable) timing probe described below.
+//!   the timing probe described below.
 //! - With the feature **on**, every acquisition pushes onto a per-thread
 //!   held-lock stack and folds an edge per held lock into a global
 //!   class-level *lock-order graph*. Inserting an edge whose reverse path
@@ -44,9 +44,10 @@
 //! lifetimes to `lock.hold.<class>`. The order checker answers "can this
 //! deadlock?"; the timing histograms answer "where do threads actually
 //! queue?" — and the latter matters most in exactly the release builds
-//! that compile the checker out. Timing can be switched off at runtime
-//! with [`set_lock_timing`]; `actorspace-obs` exports the histograms in
-//! snapshots.
+//! that compile the checker out. Contended acquisitions are always timed;
+//! uncontended ones only for a weighted one-in-[`HOLD_SAMPLE_EVERY`]
+//! sample of holds, so an uncontended acquisition normally costs no clock
+//! read. `actorspace-obs` exports the histograms in snapshots.
 //!
 //! This is the only first-party crate that may name `parking_lot`
 //! directly: the checker's own state uses raw, uninstrumented locks so
@@ -66,9 +67,7 @@ pub use parking_lot::WaitTimeoutResult;
 
 pub mod timing;
 
-pub use timing::{
-    lock_timing, lock_timing_enabled, set_lock_timing, LockTiming, TimingData, N_TIMING_BUCKETS,
-};
+pub use timing::{lock_timing, LockTiming, TimingData, HOLD_SAMPLE_EVERY, N_TIMING_BUCKETS};
 use timing::{ClassTiming, HoldTimer};
 
 /// True when the `lockcheck` feature is compiled in. Exported as a `const`
@@ -91,12 +90,11 @@ pub enum LockClass {
     Shard(u64),
     /// The runtime's actor-cell table.
     Actors,
-    /// An actor mailbox queue (behavior / RPC / invocation lanes).
+    /// An actor's mailbox: its three port queues, scheduling state and
+    /// behavior slot.
     Mailbox,
-    /// A single actor's behavior slot (held while the behavior runs).
-    Behavior,
-    /// Scheduler coordination: the idle / sleep bookkeeping workers block
-    /// on.
+    /// Scheduler coordination: the run queue workers pop from and sleep
+    /// on, and the idle bookkeeping.
     Scheduler,
     /// Coordinator-bus state: appliers, event logs, sequencer and token
     /// ring buffers.
@@ -137,7 +135,6 @@ impl LockClass {
             LockClass::Shard(_) => "shard",
             LockClass::Actors => "actors",
             LockClass::Mailbox => "mailbox",
-            LockClass::Behavior => "behavior",
             LockClass::Scheduler => "scheduler",
             LockClass::Bus => "bus",
             LockClass::Cluster => "cluster",
@@ -258,21 +255,11 @@ impl<T> Mutex<T> {
         let token = Token::acquire(self.class, self.addr(), check::Mode::Exclusive, true);
         #[cfg(not(feature = "lockcheck"))]
         let token = Token;
-        let (hold, inner) = if timing::lock_timing_enabled() {
-            let stats = self.stats();
-            let inner = match self.inner.try_lock() {
-                Some(g) => g,
-                None => {
-                    let queued = Instant::now();
-                    let g = self.inner.lock();
-                    stats.wait.record(timing::nanos(queued.elapsed()));
-                    g
-                }
-            };
-            (HoldTimer::running(stats), inner)
-        } else {
-            (HoldTimer::off(), self.inner.lock())
-        };
+        let (hold, inner) = timing::acquire(
+            || self.stats(),
+            || self.inner.try_lock(),
+            || self.inner.lock(),
+        );
         MutexGuard { token, hold, inner }
     }
 
@@ -289,17 +276,9 @@ impl<T> Mutex<T> {
         let token = Token;
         Some(MutexGuard {
             token,
-            hold: self.hold_timer(),
+            hold: HoldTimer::uncontended(|| self.stats()),
             inner,
         })
-    }
-
-    fn hold_timer(&self) -> HoldTimer {
-        if timing::lock_timing_enabled() {
-            HoldTimer::running(self.stats())
-        } else {
-            HoldTimer::off()
-        }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -410,14 +389,6 @@ impl<T> RwLock<T> {
             .get_or_init(|| timing::class_timing(self.class.name()))
     }
 
-    fn hold_timer(&self) -> HoldTimer {
-        if timing::lock_timing_enabled() {
-            HoldTimer::running(self.stats())
-        } else {
-            HoldTimer::off()
-        }
-    }
-
     /// Acquires shared read access. Reads participate in ordering checks
     /// like exclusive acquisitions: a read acquired out of order still
     /// deadlocks once a writer queues between the holders.
@@ -427,21 +398,11 @@ impl<T> RwLock<T> {
         let token = Token::acquire(self.class, self.addr(), check::Mode::Shared, true);
         #[cfg(not(feature = "lockcheck"))]
         let token = Token;
-        let (hold, inner) = if timing::lock_timing_enabled() {
-            let stats = self.stats();
-            let inner = match self.inner.try_read() {
-                Some(g) => g,
-                None => {
-                    let queued = Instant::now();
-                    let g = self.inner.read();
-                    stats.wait.record(timing::nanos(queued.elapsed()));
-                    g
-                }
-            };
-            (HoldTimer::running(stats), inner)
-        } else {
-            (HoldTimer::off(), self.inner.read())
-        };
+        let (hold, inner) = timing::acquire(
+            || self.stats(),
+            || self.inner.try_read(),
+            || self.inner.read(),
+        );
         RwLockReadGuard { token, hold, inner }
     }
 
@@ -452,21 +413,11 @@ impl<T> RwLock<T> {
         let token = Token::acquire(self.class, self.addr(), check::Mode::Exclusive, true);
         #[cfg(not(feature = "lockcheck"))]
         let token = Token;
-        let (hold, inner) = if timing::lock_timing_enabled() {
-            let stats = self.stats();
-            let inner = match self.inner.try_write() {
-                Some(g) => g,
-                None => {
-                    let queued = Instant::now();
-                    let g = self.inner.write();
-                    stats.wait.record(timing::nanos(queued.elapsed()));
-                    g
-                }
-            };
-            (HoldTimer::running(stats), inner)
-        } else {
-            (HoldTimer::off(), self.inner.write())
-        };
+        let (hold, inner) = timing::acquire(
+            || self.stats(),
+            || self.inner.try_write(),
+            || self.inner.write(),
+        );
         RwLockWriteGuard { token, hold, inner }
     }
 
@@ -481,7 +432,7 @@ impl<T> RwLock<T> {
         let token = Token;
         Some(RwLockReadGuard {
             token,
-            hold: self.hold_timer(),
+            hold: HoldTimer::uncontended(|| self.stats()),
             inner,
         })
     }
@@ -496,7 +447,7 @@ impl<T> RwLock<T> {
         let token = Token;
         Some(RwLockWriteGuard {
             token,
-            hold: self.hold_timer(),
+            hold: HoldTimer::uncontended(|| self.stats()),
             inner,
         })
     }
@@ -1238,37 +1189,69 @@ mod tests {
         }
     }
 
-    /// Serializes the tests that are sensitive to the global timing
-    /// gate: the disable window below must not overlap another test's
-    /// exact-count assertion. (A std mutex, not ours: the test
-    /// infrastructure should not show up in the timing tables.)
-    static TIMING_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    fn class_data(class: &str) -> Option<LockTiming> {
+        lock_timing().into_iter().find(|t| t.class == class)
+    }
 
-    /// One sequential test covers both the recording path and the
-    /// runtime gate.
+    /// On a thread of its own (so no other lock shares its sampler),
+    /// 64·k uncontended acquisitions record exactly 64·k holds, as k
+    /// samples of weight 64, and no wait.
     #[test]
-    fn timing_gate_and_hold_recording() {
-        let _serial = TIMING_TESTS.lock().unwrap();
-        let data = |class: &str| lock_timing().into_iter().find(|t| t.class == class);
-        // Disabled: the class never even registers.
-        set_lock_timing(false);
-        let off = Mutex::new(LockClass::Other("ut_timing_off"), ());
-        drop(off.lock());
-        assert!(data("ut_timing_off").is_none());
-        set_lock_timing(true);
-        // Enabled: uncontended lock/unlock records a hold, no wait.
-        let on = Mutex::new(LockClass::Other("ut_timing_on"), ());
-        drop(on.lock());
-        drop(on.try_lock().expect("uncontended"));
-        let t = data("ut_timing_on").expect("class registered");
-        assert_eq!(t.hold.count, 2);
-        assert_eq!(t.wait.count, 0);
-        assert_eq!(t.hold.buckets.iter().sum::<u64>(), 2);
-        // RwLock reads and writes feed the same class slot.
-        let rw = RwLock::new(LockClass::Other("ut_timing_on"), ());
-        drop(rw.read());
-        drop(rw.write());
-        assert_eq!(data("ut_timing_on").expect("still there").hold.count, 4);
+    fn uncontended_holds_are_sampled_with_weight() {
+        std::thread::spawn(|| {
+            let m = Mutex::new(LockClass::Other("ut_timing_sampled"), ());
+            let rw = RwLock::new(LockClass::Other("ut_timing_sampled"), ());
+            let k = 5;
+            for i in 0..HOLD_SAMPLE_EVERY * k {
+                // Every acquisition kind feeds the same class slot.
+                match i % 5 {
+                    0 => drop(m.lock()),
+                    1 => drop(m.try_lock().expect("uncontended")),
+                    2 => drop(rw.read()),
+                    3 => drop(rw.write()),
+                    _ => drop(rw.try_read().expect("uncontended")),
+                }
+            }
+            let t = class_data("ut_timing_sampled").expect("class registered");
+            assert_eq!(t.hold.count, HOLD_SAMPLE_EVERY * k);
+            assert_eq!(t.hold.buckets.iter().sum::<u64>(), t.hold.count);
+            assert_eq!(t.wait.count, 0);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// A contended acquisition records one wait and one hold, at weight
+    /// 1; uncontended ones add holds only in multiples of 64. So in a
+    /// round with one blocked contender the hold count grows by 1 modulo
+    /// 64, and in a round without one by 0 modulo 64.
+    #[test]
+    fn contended_acquisition_records_one_wait_and_one_hold() {
+        static M: Mutex<()> = Mutex::new(LockClass::Other("ut_timing_contended"), ());
+        let counts =
+            || class_data("ut_timing_contended").map_or((0, 0), |t| (t.wait.count, t.hold.count));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let (waits, holds) = counts();
+            let rendezvous = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _g = M.lock();
+                    rendezvous.wait();
+                    std::thread::sleep(Duration::from_millis(2));
+                });
+                rendezvous.wait();
+                drop(M.lock());
+            });
+            let (new_waits, new_holds) = counts();
+            let contended = new_waits - waits;
+            assert!(contended <= 1, "one contender per round");
+            assert_eq!((new_holds - holds) % HOLD_SAMPLE_EVERY, contended);
+            if contended == 1 {
+                return;
+            }
+            assert!(Instant::now() < deadline, "no contended wait observed");
+        }
     }
 
     /// A lock() that finds the mutex held must record a wait sample.
@@ -1301,20 +1284,38 @@ mod tests {
         }
     }
 
+    /// The one timed guard among 64 acquisitions waits on a condvar for
+    /// 100 ms. Its hold is recorded as two samples of weight 64, one on
+    /// each side of the wait, and neither sample nor the wait histogram
+    /// includes the parked time.
     #[test]
     fn condvar_wait_pauses_hold_timer() {
-        let _serial = TIMING_TESTS.lock().unwrap();
-        let m = Mutex::new(LockClass::Other("ut_timing_cv"), ());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(1)).timed_out());
-        drop(g);
-        let t = lock_timing()
-            .into_iter()
-            .find(|t| t.class == "ut_timing_cv")
-            .expect("class registered");
-        // Two hold samples: before the wait and after it.
-        assert_eq!(t.hold.count, 2);
+        const PARKED: Duration = Duration::from_millis(100);
+        std::thread::spawn(|| {
+            let m = Mutex::new(LockClass::Other("ut_timing_cv"), ());
+            let cv = Condvar::new();
+            let mut timed = 0;
+            for _ in 0..HOLD_SAMPLE_EVERY {
+                let mut g = m.lock();
+                if g.hold.is_running() {
+                    timed += 1;
+                    assert!(cv.wait_for(&mut g, PARKED).timed_out());
+                }
+            }
+            assert_eq!(timed, 1);
+            let t = class_data("ut_timing_cv").expect("class registered");
+            assert_eq!(t.hold.count, 2 * HOLD_SAMPLE_EVERY);
+            assert_eq!(t.wait.count, 0);
+            // Bucket i > 0 covers [2^(i-1), 2^i) ns: every sample is below
+            // half the parked time.
+            let half_parked = (PARKED.as_nanos() / 2) as u64;
+            let first_parked_bucket = (64 - half_parked.leading_zeros()) as usize;
+            assert!(t.hold.buckets[first_parked_bucket..]
+                .iter()
+                .all(|&n| n == 0));
+        })
+        .join()
+        .unwrap();
     }
 
     #[cfg(not(feature = "lockcheck"))]

@@ -3,18 +3,24 @@
 //! Unlike the order checker (compile-time gated behind the `lockcheck`
 //! feature), timing is available in every build: contention is a
 //! *performance* question, and the builds whose performance matters are
-//! exactly the ones compiled without the checker. The cost model keeps it
-//! cheap enough to leave on:
+//! exactly the ones compiled without the checker. Timing is paid for only
+//! where it pays:
 //!
-//! - One relaxed atomic load per acquisition when timing is disabled
-//!   ([`set_lock_timing`]).
-//! - On the uncontended path (a `try_lock` succeeds), no clock is read for
-//!   the wait side; only the hold timer stamps one `Instant`.
-//! - Wait time is recorded only for acquisitions that actually blocked, so
-//!   `lock.wait.*` histograms count *contended* acquisitions — their
-//!   `count` is the number of times a thread queued on that class.
-//! - Hold time is recorded when the guard drops; condvar waits pause the
-//!   hold timer so parked time is not billed as holding.
+//! - A **contended** acquisition (the try-acquire fails) is always timed:
+//!   its wait goes to `lock.wait.<class>` and its hold to
+//!   `lock.hold.<class>`, one sample each. `lock.wait.*` histograms
+//!   therefore count contended acquisitions only — their `count` is the
+//!   number of times a thread queued on that class.
+//! - An **uncontended** acquisition reads no clock and touches no shared
+//!   atomic, except one in every [`HOLD_SAMPLE_EVERY`] on each thread.
+//!   That one's hold is timed and recorded with weight
+//!   [`HOLD_SAMPLE_EVERY`] in the count, the sum and its bucket, so
+//!   `lock.hold.*` totals stay unbiased estimates of every hold. Which
+//!   acquisition of each block of [`HOLD_SAMPLE_EVERY`] is sampled is
+//!   drawn per block by a per-thread generator, so a thread that takes
+//!   its locks in a fixed cycle does not bill one class for all of them.
+//! - Condvar waits pause the hold timer so parked time is not billed as
+//!   holding.
 //!
 //! Samples aggregate per class into log2-bucketed histograms (the same
 //! bucket layout as `actorspace-obs`); [`lock_timing`] exports the raw
@@ -22,8 +28,9 @@
 //! `lock.hold.<class>` snapshot entries. The tables are process-global,
 //! like the order graph.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of log2 buckets, mirroring `actorspace_obs::metrics::N_BUCKETS`:
@@ -31,18 +38,55 @@ use std::time::{Duration, Instant};
 /// exactly 0, and the last bucket absorbs the tail.
 pub const N_TIMING_BUCKETS: usize = 65;
 
-static TIMING_ON: AtomicBool = AtomicBool::new(true);
+/// One uncontended acquisition in this many, per thread, has its hold
+/// timed (and recorded with this weight).
+pub const HOLD_SAMPLE_EVERY: u64 = 64;
 
-/// Globally enables or disables wait/hold timing. On by default; the
-/// accumulated tables are kept (not reset) across toggles.
-pub fn set_lock_timing(on: bool) {
-    TIMING_ON.store(on, Ordering::Relaxed);
+/// Per-thread sampling state: acquisitions left in the current block, the
+/// position in the block that is sampled, and a xorshift generator that
+/// draws the next block's position.
+#[derive(Clone, Copy)]
+struct Sampler {
+    left: u64,
+    pick: u64,
+    rng: u32,
 }
 
-/// Whether wait/hold timing is currently recording.
+thread_local! {
+    static SAMPLER: Cell<Sampler> = const {
+        Cell::new(Sampler {
+            left: HOLD_SAMPLE_EVERY,
+            pick: 0,
+            rng: 0x9E37_79B9,
+        })
+    };
+}
+
+/// Counts one uncontended acquisition on this thread; true for exactly one
+/// in each block of [`HOLD_SAMPLE_EVERY`].
 #[inline]
-pub fn lock_timing_enabled() -> bool {
-    TIMING_ON.load(Ordering::Relaxed)
+fn sample_this_one() -> bool {
+    SAMPLER.with(|cell| {
+        let mut s = cell.get();
+        s.left -= 1;
+        let hit = s.left == s.pick;
+        if s.left == 0 {
+            s = next_block(s);
+        }
+        cell.set(s);
+        hit
+    })
+}
+
+/// Starts a new block: draws the position it samples.
+#[cold]
+fn next_block(mut s: Sampler) -> Sampler {
+    s.rng ^= s.rng << 13;
+    s.rng ^= s.rng >> 17;
+    s.rng ^= s.rng << 5;
+    s.left = HOLD_SAMPLE_EVERY;
+    s.pick = u64::from(s.rng) % HOLD_SAMPLE_EVERY;
+    s
 }
 
 #[inline]
@@ -55,7 +99,7 @@ fn bucket_index(v: u64) -> usize {
 }
 
 #[inline]
-pub(crate) fn nanos(d: Duration) -> u64 {
+fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -77,11 +121,13 @@ impl AtomicHist {
         }
     }
 
+    /// Records sample `v` standing for `weight` samples of that value.
     #[inline]
-    pub(crate) fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record(&self, v: u64, weight: u64) {
+        self.buckets[bucket_index(v)].fetch_add(weight, Ordering::Relaxed);
+        self.sum
+            .fetch_add(v.saturating_mul(weight), Ordering::Relaxed);
+        self.count.fetch_add(weight, Ordering::Relaxed);
     }
 
     fn data(&self) -> TimingData {
@@ -131,11 +177,13 @@ pub(crate) fn class_timing(name: &'static str) -> &'static ClassTiming {
 /// Raw histogram contents for one timing dimension of one class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingData {
-    /// Samples recorded (for `wait`: contended acquisitions only).
+    /// Samples recorded, each sampled hold counted with its weight (for
+    /// `wait`: contended acquisitions only).
     pub count: u64,
-    /// Sum of all samples, nanoseconds.
+    /// Weighted sum of all samples, nanoseconds.
     pub sum: u64,
-    /// Per-bucket sample counts, [`N_TIMING_BUCKETS`] long.
+    /// Per-bucket weighted sample counts, [`N_TIMING_BUCKETS`] long; they
+    /// sum to `count`.
     pub buckets: Vec<u64>,
 }
 
@@ -151,8 +199,7 @@ pub struct LockTiming {
 }
 
 /// Snapshot of every class's wait/hold histograms, sorted by class name.
-/// Classes are present once any lock of theirs has been acquired with
-/// timing enabled.
+/// A class is present once one of its acquisitions has been timed.
 pub fn lock_timing() -> Vec<LockTiming> {
     let map = REGISTRY.lock();
     map.iter()
@@ -164,50 +211,107 @@ pub fn lock_timing() -> Vec<LockTiming> {
         .collect()
 }
 
+/// Acquires a lock through `try_acquire`, falling back to the blocking
+/// `acquire` only when that fails. The fallback is a contended
+/// acquisition: its wait is recorded and its hold timed, at weight 1.
+/// Otherwise the hold is timed only if this thread's sampler picks it.
+/// The timed paths are kept out of line so the uncontended one stays
+/// small enough to inline into every lock call.
+#[inline]
+pub(crate) fn acquire<G>(
+    stats: impl FnOnce() -> &'static ClassTiming,
+    try_acquire: impl FnOnce() -> Option<G>,
+    acquire: impl FnOnce() -> G,
+) -> (HoldTimer, G) {
+    match try_acquire() {
+        Some(guard) => (HoldTimer::uncontended(stats), guard),
+        None => contended(stats, acquire),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn contended<G>(
+    stats: impl FnOnce() -> &'static ClassTiming,
+    acquire: impl FnOnce() -> G,
+) -> (HoldTimer, G) {
+    let timing = stats();
+    let queued = Instant::now();
+    let guard = acquire();
+    let acquired = Instant::now();
+    timing.wait.record(nanos(acquired - queued), 1);
+    (HoldTimer::running(timing, acquired, 1), guard)
+}
+
+/// A running hold timer: the class slot, the start and the weight its
+/// samples are recorded with.
+type Running = (&'static ClassTiming, Instant, u64);
+
 /// Guard-embedded hold timer: stamps acquisition time and records the
-/// elapsed hold into the class's hold histogram when dropped. Inert (and
-/// allocation-free) when timing was disabled at acquisition.
-pub(crate) struct HoldTimer(Option<(&'static ClassTiming, Instant)>);
+/// elapsed hold into the class's hold histogram when dropped. Inert for
+/// the uncontended acquisitions the sampler skips.
+pub(crate) struct HoldTimer(Option<Running>);
 
 impl HoldTimer {
-    /// An inert timer (timing disabled).
     #[inline]
-    pub(crate) fn off() -> HoldTimer {
-        HoldTimer(None)
+    fn running(timing: &'static ClassTiming, started: Instant, weight: u64) -> HoldTimer {
+        HoldTimer(Some((timing, started, weight)))
     }
 
-    /// Starts timing a hold of `timing`'s class.
+    /// The timer of an uncontended acquisition: running, at weight
+    /// [`HOLD_SAMPLE_EVERY`], for the one in each block the sampler picks;
+    /// inert (no clock read) otherwise.
     #[inline]
-    pub(crate) fn running(timing: &'static ClassTiming) -> HoldTimer {
-        HoldTimer(Some((timing, Instant::now())))
+    pub(crate) fn uncontended(stats: impl FnOnce() -> &'static ClassTiming) -> HoldTimer {
+        if sample_this_one() {
+            HoldTimer::sampled(stats)
+        } else {
+            HoldTimer(None)
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn sampled(stats: impl FnOnce() -> &'static ClassTiming) -> HoldTimer {
+        HoldTimer::running(stats(), Instant::now(), HOLD_SAMPLE_EVERY)
+    }
+
+    /// Whether this guard's hold is being timed.
+    #[cfg(test)]
+    pub(crate) fn is_running(&self) -> bool {
+        self.0.is_some()
     }
 
     /// Records the hold so far and stops the timer (condvar wait entry);
-    /// returns the slot for [`HoldTimer::resume`] after the wait.
-    pub(crate) fn pause(&mut self) -> Option<&'static ClassTiming> {
-        let (timing, started) = self.0.take()?;
-        timing.hold.record(nanos(started.elapsed()));
-        Some(timing)
+    /// returns what [`HoldTimer::resume`] needs after the wait.
+    pub(crate) fn pause(&mut self) -> Option<(&'static ClassTiming, u64)> {
+        let running = self.0.take()?;
+        record_hold(running);
+        Some((running.0, running.2))
     }
 
     /// Restarts a paused timer (condvar wait exit). The hold on either
     /// side of the wait is recorded as two samples; the parked time in
     /// between is billed to neither.
     #[inline]
-    pub(crate) fn resume(paused: Option<&'static ClassTiming>) -> HoldTimer {
-        match paused {
-            Some(timing) => HoldTimer::running(timing),
-            None => HoldTimer::off(),
-        }
+    pub(crate) fn resume(paused: Option<(&'static ClassTiming, u64)>) -> HoldTimer {
+        HoldTimer(paused.map(|(timing, weight)| (timing, Instant::now(), weight)))
     }
 }
 
 impl Drop for HoldTimer {
+    #[inline]
     fn drop(&mut self) {
-        if let Some((timing, started)) = self.0.take() {
-            timing.hold.record(nanos(started.elapsed()));
+        if let Some(running) = self.0.take() {
+            record_hold(running);
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn record_hold((timing, started, weight): Running) {
+    timing.hold.record(nanos(started.elapsed()), weight);
 }
 
 #[cfg(test)]
@@ -218,14 +322,36 @@ mod tests {
     fn histogram_buckets_and_totals() {
         let h = AtomicHist::new();
         for v in [0u64, 1, 2, 3, 1000] {
-            h.record(v);
+            h.record(v, 1);
         }
+        h.record(10, 64);
         let d = h.data();
-        assert_eq!(d.count, 5);
-        assert_eq!(d.sum, 1006);
+        assert_eq!(d.count, 5 + 64);
+        assert_eq!(d.sum, 1006 + 640);
         assert_eq!(d.buckets.len(), N_TIMING_BUCKETS);
         assert_eq!(d.buckets[0], 1); // the 0 sample
-        assert_eq!(d.buckets.iter().sum::<u64>(), 5);
+        assert_eq!(d.buckets[bucket_index(10)], 64);
+        assert_eq!(d.buckets.iter().sum::<u64>(), 5 + 64);
+    }
+
+    #[test]
+    fn sampler_picks_exactly_one_per_block() {
+        std::thread::spawn(|| {
+            let mut picks = Vec::new();
+            for block in 0..100 {
+                let hits: Vec<u64> = (0..HOLD_SAMPLE_EVERY)
+                    .filter(|_| sample_this_one())
+                    .collect();
+                assert_eq!(hits.len(), 1, "block {block}");
+                picks.push(hits[0]);
+            }
+            // The position moves from block to block.
+            picks.sort_unstable();
+            picks.dedup();
+            assert!(picks.len() > 10, "{picks:?}");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

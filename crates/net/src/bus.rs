@@ -128,6 +128,11 @@ pub trait OrderedBroadcast: Send + Sync {
 
     /// Events that have been assigned a sequence number so far.
     fn issued(&self) -> u64;
+
+    /// Stops the protocol and joins its threads (links included). Events
+    /// already stamped are still delivered; later submissions are lost.
+    /// Idempotent.
+    fn shutdown(&self);
 }
 
 /// Per-node reordering buffer: arrivals may be out of order (link jitter);

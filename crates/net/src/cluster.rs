@@ -32,7 +32,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -751,14 +751,26 @@ impl Cluster {
         true
     }
 
-    /// Stops the service thread and every node.
+    /// Stops every thread the cluster spawned and joins it: the service
+    /// thread (with its heartbeat links), every node's workers and
+    /// periodic publishers, the bus (sequencer or token, with its links),
+    /// the data pipes (links and retransmit timers), and the obs stream's
+    /// subscriber links. Idempotent; runs on drop.
     pub fn shutdown(&self) {
         self.service_stop.store(true, Ordering::Release);
-        if let Some(h) = self.service.lock().take() {
+        let service = self.service.lock().take();
+        if let Some(h) = service {
             let _ = h.join();
         }
         for slot in &self.slots {
             slot.system().shutdown();
+        }
+        self.bus.shutdown();
+        for pipe in self.data_pipes.iter().flatten().flatten() {
+            pipe.close();
+        }
+        if let Some(stream) = &self.obs_stream {
+            stream.close();
         }
     }
 }
@@ -793,7 +805,7 @@ fn install_plumbing(
 ) {
     system.set_coordinator_hook(Arc::new(ClusterHook {
         node: me,
-        system: system.clone(),
+        system: Arc::downgrade(system),
         bus: bus.clone(),
     }));
     system.set_uplink(Arc::new(NodeUplink {
@@ -1053,11 +1065,18 @@ fn apply_op(system: &ActorSystem, me: NodeId, op: BusOp, errors: &AtomicU64) {
 /// The per-node coordinator hook: allocate locally, replicate via the bus.
 struct ClusterHook {
     node: NodeId,
-    system: Arc<ActorSystem>,
+    /// Weak: the system owns this hook.
+    system: Weak<ActorSystem>,
     bus: Arc<dyn OrderedBroadcast>,
 }
 
 impl ClusterHook {
+    fn system(&self) -> Arc<ActorSystem> {
+        self.system
+            .upgrade()
+            .expect("a hook is only called by its live system")
+    }
+
     fn submit(&self, op: BusOp) {
         self.bus.submit(BusEvent {
             origin: self.node,
@@ -1110,7 +1129,9 @@ impl CoordinatorHook for ClusterHook {
     }
 
     fn create_space(&self, cap: Option<Capability>) -> SpaceId {
-        let id = self.system.with_registry(|reg, _| reg.allocate_space_id());
+        let id = self
+            .system()
+            .with_registry(|reg, _| reg.allocate_space_id());
         self.submit(BusOp::CreateSpace {
             id,
             guard: Guard::from_creation(cap.as_ref()),
@@ -1129,8 +1150,9 @@ impl CoordinatorHook for ClusterHook {
         cap: Option<Capability>,
         behavior: BoxBehavior,
     ) -> Result<ActorId> {
-        let id = self.system.with_registry(|reg, _| reg.allocate_actor_id());
-        self.system.install_cell_boxed(id, behavior);
+        let system = self.system();
+        let id = system.with_registry(|reg, _| reg.allocate_actor_id());
+        system.install_cell_boxed(id, behavior);
         self.submit(BusOp::CreateActor {
             id,
             host,

@@ -10,7 +10,10 @@
 
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use actorspace_lockcheck::{LockClass, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -86,9 +89,18 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-/// A unidirectional, fault-injected, delayed delivery channel.
+/// What travels to the delivery thread: an item, or the request to stop.
+enum Wire<T> {
+    Item(T),
+    Close,
+}
+
+/// A unidirectional, fault-injected, delayed delivery channel. Its
+/// delivery thread runs until [`Link::close`] or drop, which deliver what
+/// is already in flight and join it.
 pub struct Link<T: Send + 'static> {
-    tx: mpsc::Sender<T>,
+    tx: mpsc::Sender<Wire<T>>,
+    pump: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl<T: Send + 'static> Link<T> {
@@ -101,21 +113,65 @@ impl<T: Send + 'static> Link<T> {
             dup_prob: 0.0,
             ..cfg
         };
-        let (tx, rx) = mpsc::channel::<T>();
-        std::thread::Builder::new()
+        Link::spawn(cfg, deliver, None)
+    }
+
+    fn spawn(
+        cfg: LinkConfig,
+        deliver: impl Fn(T) + Send + 'static,
+        dup: Option<fn(&T) -> T>,
+    ) -> Link<T> {
+        let (tx, rx) = mpsc::channel::<Wire<T>>();
+        let pump = std::thread::Builder::new()
             .name("actorspace-link".into())
-            .spawn(move || pump(cfg, rx, deliver))
+            .spawn(move || pump(cfg, rx, deliver, dup))
             .expect("spawn link thread");
-        Link { tx }
+        Link {
+            tx,
+            pump: Mutex::new(LockClass::Other("net.link"), Some(pump)),
+        }
     }
 
     /// Sends an item into the link. Returns false if the link is down.
     pub fn send(&self, item: T) -> bool {
-        self.tx.send(item).is_ok()
+        self.tx.send(Wire::Item(item)).is_ok()
+    }
+
+    /// Stops the link: items sent before the call are still delivered
+    /// after their delay, later ones are dropped, and the delivery thread
+    /// is joined. Idempotent.
+    pub fn close(&self) {
+        let _ = self.tx.send(Wire::Close);
+        let pump = self.pump.lock().take();
+        if let Some(pump) = pump {
+            // A delivery callback that drops the last handle to its own
+            // link cannot join itself; its thread is exiting anyway.
+            if pump.thread().id() != std::thread::current().id() {
+                let _ = pump.join();
+            }
+        }
     }
 }
 
-fn pump<T>(cfg: LinkConfig, rx: mpsc::Receiver<T>, deliver: impl Fn(T)) {
+impl<T: Send + 'static> Drop for Link<T> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl<T: Clone + Send + 'static> Link<T> {
+    /// Like [`Link::new`] but supports duplication (requires `T: Clone`).
+    pub fn new_cloneable(cfg: LinkConfig, deliver: impl Fn(T) + Send + 'static) -> Link<T> {
+        Link::spawn(cfg, deliver, Some(T::clone))
+    }
+}
+
+fn pump<T>(
+    cfg: LinkConfig,
+    rx: mpsc::Receiver<Wire<T>>,
+    deliver: impl Fn(T),
+    dup: Option<fn(&T) -> T>,
+) {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut heap: BinaryHeap<Scheduled<T>> = BinaryHeap::new();
     let mut order = 0u64;
@@ -127,8 +183,14 @@ fn pump<T>(cfg: LinkConfig, rx: mpsc::Receiver<T>, deliver: impl Fn(T)) {
             let s = heap.pop().expect("peeked");
             deliver(s.item);
         }
-        if closed && heap.is_empty() {
-            return;
+        if closed {
+            if heap.is_empty() {
+                return;
+            }
+            // Closed: only wait out what is in flight.
+            let due = heap.peek().expect("non-empty").due;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            continue;
         }
         // Wait for the next due time or the next incoming message.
         let wait = heap
@@ -136,80 +198,26 @@ fn pump<T>(cfg: LinkConfig, rx: mpsc::Receiver<T>, deliver: impl Fn(T)) {
             .map(|s| s.due.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(50));
         match rx.recv_timeout(wait) {
-            Ok(item) => {
+            Ok(Wire::Item(item)) => {
                 if rng.gen_bool(cfg.drop_prob.clamp(0.0, 1.0)) {
                     continue; // dropped on the wire
                 }
-                let jitter = if cfg.jitter.is_zero() {
-                    Duration::ZERO
-                } else {
-                    cfg.jitter.mul_f64(rng.gen::<f64>())
-                };
-                let due = Instant::now() + cfg.latency + jitter;
-                heap.push(Scheduled { due, order, item });
-                order += 1;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => closed = true,
-        }
-    }
-}
-
-impl<T: Clone + Send + 'static> Link<T> {
-    /// Like [`Link::new`] but supports duplication (requires `T: Clone`).
-    pub fn new_cloneable(cfg: LinkConfig, deliver: impl Fn(T) + Send + 'static) -> Link<T> {
-        let (tx, rx) = mpsc::channel::<T>();
-        std::thread::Builder::new()
-            .name("actorspace-link".into())
-            .spawn(move || pump_cloneable(cfg, rx, deliver))
-            .expect("spawn link thread");
-        Link { tx }
-    }
-}
-
-fn pump_cloneable<T: Clone>(cfg: LinkConfig, rx: mpsc::Receiver<T>, deliver: impl Fn(T)) {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut heap: BinaryHeap<Scheduled<T>> = BinaryHeap::new();
-    let mut order = 0u64;
-    let mut closed = false;
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|s| s.due <= now) {
-            let s = heap.pop().expect("peeked");
-            deliver(s.item);
-        }
-        if closed && heap.is_empty() {
-            return;
-        }
-        let wait = heap
-            .peek()
-            .map(|s| s.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(item) => {
-                if rng.gen_bool(cfg.drop_prob.clamp(0.0, 1.0)) {
-                    continue;
-                }
-                let mut schedule = |item: T, rng: &mut SmallRng, order: &mut u64| {
+                let copy = dup
+                    .filter(|_| rng.gen_bool(cfg.dup_prob.clamp(0.0, 1.0)))
+                    .map(|dup| dup(&item));
+                for item in copy.into_iter().chain([item]) {
                     let jitter = if cfg.jitter.is_zero() {
                         Duration::ZERO
                     } else {
                         cfg.jitter.mul_f64(rng.gen::<f64>())
                     };
-                    heap.push(Scheduled {
-                        due: Instant::now() + cfg.latency + jitter,
-                        order: *order,
-                        item,
-                    });
-                    *order += 1;
-                };
-                if rng.gen_bool(cfg.dup_prob.clamp(0.0, 1.0)) {
-                    schedule(item.clone(), &mut rng, &mut order);
+                    let due = Instant::now() + cfg.latency + jitter;
+                    heap.push(Scheduled { due, order, item });
+                    order += 1;
                 }
-                schedule(item, &mut rng, &mut order);
             }
+            Ok(Wire::Close) | Err(mpsc::RecvTimeoutError::Disconnected) => closed = true,
             Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => closed = true,
         }
     }
 }

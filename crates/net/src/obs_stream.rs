@@ -125,6 +125,14 @@ impl ObsStream {
         }
     }
 
+    /// Closes every subscriber link, joining its delivery thread; frames
+    /// published afterwards are dropped.
+    pub fn close(&self) {
+        for sub in self.subs.read().iter() {
+            sub.link.close();
+        }
+    }
+
     /// Registers a new observer and returns its live aggregate view.
     /// Frames published from now on are folded into the view after the
     /// stream's simulated link delay.

@@ -58,23 +58,19 @@ struct StopFlag {
 
 /// The sending half: call [`ReliableSender::send`]; a retransmit timer
 /// thread re-sends each unacked packet that has gone a whole period since
-/// it was last sent, until acknowledged. Dropping the sender stops the
-/// timer thread promptly and joins it.
+/// it was last sent, until acknowledged. [`ReliableSender::close`] (or
+/// dropping the sender) stops the timer thread promptly and joins it.
 pub struct ReliableSender<T: Clone + Send + 'static> {
     state: Arc<Mutex<SenderState<T>>>,
     link: Arc<Link<Packet<T>>>,
     stop: Arc<StopFlag>,
     retransmits: Arc<AtomicU64>,
-    retx: Option<std::thread::JoinHandle<()>>,
+    retx: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl<T: Clone + Send + 'static> Drop for ReliableSender<T> {
     fn drop(&mut self) {
-        *self.stop.stopped.lock() = true;
-        self.stop.cv.notify_all();
-        if let Some(h) = self.retx.take() {
-            let _ = h.join();
-        }
+        self.close();
     }
 }
 
@@ -135,8 +131,21 @@ impl<T: Clone + Send + 'static> ReliableSender<T> {
             link,
             stop,
             retransmits,
-            retx: Some(retx),
+            retx: Mutex::new(LockClass::Reliable, Some(retx)),
         }
+    }
+
+    /// Stops and joins the retransmit thread, then closes the forward
+    /// link (joining its delivery thread). Unacknowledged packets stay in
+    /// the journal. Idempotent.
+    pub fn close(&self) {
+        *self.stop.stopped.lock() = true;
+        self.stop.cv.notify_all();
+        let retx = self.retx.lock().take();
+        if let Some(h) = retx {
+            let _ = h.join();
+        }
+        self.link.close();
     }
 
     /// Sends a payload; it will be retransmitted until acked.
@@ -286,6 +295,12 @@ impl<T: Clone + Send + 'static> ReliablePipe<T> {
     /// Sends a payload with the exactly-once guarantee.
     pub fn send(&self, payload: T) {
         self.sender.send(payload);
+    }
+
+    /// Stops the pipe and joins its threads: the retransmit timer, the
+    /// forward link, and (as the forward link's last holder) the ack link.
+    pub fn close(&self) {
+        self.sender.close();
     }
 
     /// Outstanding unacknowledged packets.

@@ -16,6 +16,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+
+use actorspace_lockcheck::{LockClass, Mutex};
 
 use crate::bus::{BusEvent, OrderedBroadcast, SeqEvent};
 use crate::link::{Link, LinkConfig};
@@ -25,6 +28,8 @@ pub struct Sequencer {
     uplink: Link<BusEvent>,
     submitted: AtomicU64,
     issued: Arc<AtomicU64>,
+    /// The stamping thread; it owns the downlinks.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Sequencer {
@@ -36,7 +41,7 @@ impl Sequencer {
 
         // The sequencer process: stamp and multicast.
         let issued2 = issued.clone();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("actorspace-sequencer".into())
             .spawn(move || {
                 let mut seq = 0u64;
@@ -70,7 +75,14 @@ impl Sequencer {
             uplink,
             submitted: AtomicU64::new(0),
             issued,
+            thread: Mutex::new(LockClass::Bus, Some(thread)),
         }
+    }
+}
+
+impl Drop for Sequencer {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -87,6 +99,17 @@ impl OrderedBroadcast for Sequencer {
     fn issued(&self) -> u64 {
         self.issued.load(Ordering::Acquire)
     }
+
+    fn shutdown(&self) {
+        // Closing the uplink drops the stamping thread's only sender, so
+        // the thread stamps what reached it, then exits and drops the
+        // downlinks, which deliver what is in flight and join.
+        self.uplink.close();
+        let thread = self.thread.lock().take();
+        if let Some(thread) = thread {
+            let _ = thread.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -95,7 +118,6 @@ mod tests {
     use crate::bus::{Applier, BusOp};
     use crate::directory::NodeId;
     use actorspace_core::ActorId;
-    use actorspace_lockcheck::{LockClass, Mutex};
     use std::time::{Duration, Instant};
 
     #[test]

@@ -14,6 +14,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use actorspace_lockcheck::{LockClass, Mutex};
@@ -27,6 +28,8 @@ pub struct TokenBus {
     submitted: AtomicU64,
     issued: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
+    /// The token thread; it owns the downlinks.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TokenBus {
@@ -43,7 +46,7 @@ impl TokenBus {
         let p2 = pending.clone();
         let issued2 = issued.clone();
         let stop2 = stop.clone();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("actorspace-token".into())
             .spawn(move || {
                 let mut seq = 0u64;
@@ -80,13 +83,14 @@ impl TokenBus {
             submitted: AtomicU64::new(0),
             issued,
             stop,
+            thread: Mutex::new(LockClass::Bus, Some(thread)),
         }
     }
 }
 
 impl Drop for TokenBus {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.shutdown();
     }
 }
 
@@ -103,6 +107,16 @@ impl OrderedBroadcast for TokenBus {
 
     fn issued(&self) -> u64 {
         self.issued.load(Ordering::Acquire)
+    }
+
+    fn shutdown(&self) {
+        // The token thread exits within one hop and drops the downlinks,
+        // which deliver what is in flight and join.
+        self.stop.store(true, Ordering::Release);
+        let thread = self.thread.lock().take();
+        if let Some(thread) = thread {
+            let _ = thread.join();
+        }
     }
 }
 

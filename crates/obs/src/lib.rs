@@ -97,7 +97,9 @@ pub mod names {
     /// process-global).
     pub const LOCK_WAIT_PREFIX: &str = "lock.wait.";
     /// Prefix of the per-lock-class hold-time histograms: one
-    /// `lock.hold.<class>` histogram of guard lifetimes, nanoseconds.
+    /// `lock.hold.<class>` histogram of guard lifetimes, nanoseconds —
+    /// every contended acquisition's hold, plus one uncontended hold in
+    /// 64 per thread counted 64 times, so counts and sums stay unbiased.
     pub const LOCK_HOLD_PREFIX: &str = "lock.hold.";
 }
 
@@ -287,20 +289,24 @@ mod tests {
     /// ride every snapshot — with the lockcheck feature both on and off.
     #[test]
     fn snapshot_exports_lock_timing() {
-        use actorspace_lockcheck::{LockClass, Mutex};
-        let m = Mutex::new(LockClass::Other("obs_ut_timing"), ());
-        drop(m.lock());
-        let obs = Obs::default();
-        // The first snapshot itself locks the registry mutex; the second
-        // therefore always sees a `lock.hold.metrics` sample.
-        let _ = obs.snapshot();
-        let snap = obs.snapshot();
+        use actorspace_lockcheck::{LockClass, Mutex, HOLD_SAMPLE_EVERY};
+        // A thread of its own, so these are the only acquisitions its
+        // hold sampler counts: exactly one block of 64, one weighted sample.
+        std::thread::spawn(|| {
+            let m = Mutex::new(LockClass::Other("obs_ut_timing"), ());
+            for _ in 0..HOLD_SAMPLE_EVERY {
+                drop(m.lock());
+            }
+        })
+        .join()
+        .unwrap();
+        let snap = Obs::default().snapshot();
         let hold = snap
             .histogram("lock.hold.obs_ut_timing", 0)
             .expect("hold histogram exported");
-        assert!(hold.count >= 1);
-        // The snapshot's own registry lock shows up too.
-        assert!(snap.histogram("lock.hold.metrics", 0).is_some());
+        assert_eq!(hold.count, HOLD_SAMPLE_EVERY);
+        // Uncontended: no wait samples, so no wait series.
+        assert!(snap.histogram("lock.wait.obs_ut_timing", 0).is_none());
         let json = snap.to_json();
         assert!(json.contains("lock.hold.obs_ut_timing"));
     }

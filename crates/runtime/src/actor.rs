@@ -8,7 +8,7 @@ use actorspace_core::ActorId;
 
 use crate::ctx::Ctx;
 use crate::mailbox::Mailbox;
-use crate::message::Message;
+use crate::message::{Message, Queued};
 
 /// An actor behavior. One message is processed at a time per actor; `&mut
 /// self` state is therefore race-free without locks in user code.
@@ -52,25 +52,20 @@ where
     FnBehavior(f)
 }
 
-/// The per-actor record owned by the runtime: identity, mailbox, and the
-/// current behavior. The scheduling state machine in [`Mailbox`] guarantees
-/// at most one worker touches `behavior` at a time; the mutex is belt and
-/// braces (and satisfies the borrow checker across the worker boundary).
+/// The per-actor record owned by the runtime: identity, plus the mailbox
+/// that holds the port queues, the scheduling state and the current
+/// behavior under one lock. A worker borrows the behavior for the length of
+/// a batch, so at most one worker runs it at a time.
 pub(crate) struct ActorCell {
     pub id: ActorId,
-    pub mailbox: Mailbox,
-    pub behavior: actorspace_lockcheck::Mutex<Option<BoxBehavior>>,
+    pub mailbox: Mailbox<Queued, BoxBehavior>,
 }
 
 impl ActorCell {
     pub fn new(id: ActorId, behavior: BoxBehavior) -> ActorCell {
         ActorCell {
             id,
-            mailbox: Mailbox::new(),
-            behavior: actorspace_lockcheck::Mutex::new(
-                actorspace_lockcheck::LockClass::Behavior,
-                Some(behavior),
-            ),
+            mailbox: Mailbox::new(behavior),
         }
     }
 }
@@ -78,6 +73,7 @@ impl ActorCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::MailboxState;
     use crate::value::Value;
 
     #[test]
@@ -92,7 +88,6 @@ mod tests {
     #[test]
     fn actor_cell_holds_behavior() {
         let cell = ActorCell::new(ActorId(1), Box::new(from_fn(|_, _| {})));
-        assert!(cell.behavior.lock().is_some());
-        assert_eq!(cell.mailbox.len(), 0);
+        assert_eq!(cell.mailbox.status(), (MailboxState::Idle, 0));
     }
 }

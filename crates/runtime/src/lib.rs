@@ -14,7 +14,7 @@
 //!   delivery is a mailbox push, and an installed uplink carries messages
 //!   for actors this node does not host (used by the cluster layer).
 //!
-//! Scheduling is a fixed pool of workers over a shared injector queue;
+//! Scheduling is a fixed pool of workers over one run queue per node;
 //! every actor processes one message at a time, so behavior state needs no
 //! internal synchronization.
 //!

@@ -1,225 +1,242 @@
-//! Per-actor mailboxes: three FIFO port queues plus the scheduling state
-//! machine that guarantees an actor is processed by at most one worker at a
-//! time.
+//! Per-actor mailboxes: three FIFO port queues, the scheduling state, and
+//! the actor's behavior slot, all behind one lock.
 //!
 //! The state machine is the classic idle → scheduled → running cycle:
 //!
-//! * a producer that enqueues into an **idle** mailbox transitions it to
+//! * a producer that enqueues into an **idle** mailbox makes it
 //!   **scheduled** and hands the actor to the scheduler;
-//! * a worker takes a scheduled actor, marks it **running**, drains a batch
-//!   of messages, then returns it to **idle** — re-scheduling itself if
-//!   messages raced in meanwhile.
+//! * a worker takes a batch from a scheduled mailbox, which marks it
+//!   **running** and lends the worker the behavior;
+//! * finishing the batch returns the behavior and makes the mailbox
+//!   **idle** if every queue is empty, **scheduled** (and the worker
+//!   re-queues the actor) otherwise.
 //!
-//! The producer writes `len` then reads `state`; the finishing worker
-//! writes `state` then reads `len`. Under release/acquire alone each side
-//! may miss the other's write (the store-buffer pattern) and strand a
-//! message in an idle mailbox, so those four accesses are `SeqCst`: in
-//! their single total order, at least one side sees the other's write.
+//! Every transition happens under the same lock as the queue operation it
+//! depends on, so a message can never be left queued behind an idle state:
+//! either the producer sees idle and schedules, or the finishing worker
+//! sees the message and does.
 //!
-//! Port priority (paper §7.2 semantics): Behavior replacements are consumed
-//! before RPC replies, which are consumed before ordinary invocations.
-//! Within a port, delivery is FIFO. Across actors and for broadcasts no
-//! order is guaranteed, matching §5.3.
+//! Port priority (paper §7.2 semantics): Behavior replacements are taken
+//! before RPC replies, which are taken before ordinary invocations. Within
+//! a port, delivery is FIFO. Priority holds at every take; a message that
+//! arrives while a batch runs waits for the next take. Across actors and
+//! for broadcasts no order is guaranteed, matching §5.3.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use actorspace_core::Route;
 use actorspace_lockcheck::{LockClass, Mutex};
 
-use crate::message::{Payload, Port};
+use crate::message::Port;
 
-/// One queued entry: the payload plus the pattern resolution that produced
-/// it (if any), retained for failover re-routing.
-pub(crate) type Queued = (Payload, Option<Route>);
-
-/// Scheduling states.
-const IDLE: usize = 0;
-const SCHEDULED: usize = 1;
-const RUNNING: usize = 2;
-
-/// A three-port mailbox with scheduling state.
-pub(crate) struct Mailbox {
-    behavior: Mutex<VecDeque<Queued>>,
-    rpc: Mutex<VecDeque<Queued>>,
-    invocation: Mutex<VecDeque<Queued>>,
-    state: AtomicUsize,
-    len: AtomicUsize,
+/// Scheduling state of a mailbox.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MailboxState {
+    /// No worker holds or owes the actor; every queue is empty.
+    Idle,
+    /// The actor is in (or being put into) the run queue.
+    Scheduled,
+    /// A worker holds the behavior and is processing a batch.
+    Running,
 }
 
-impl Mailbox {
-    pub fn new() -> Mailbox {
+/// A three-port mailbox with scheduling state and a behavior slot of type
+/// `S`. `T` is the queued entry.
+pub struct Mailbox<T, S> {
+    inner: Mutex<Inner<T, S>>,
+}
+
+struct Inner<T, S> {
+    /// Port queues in priority order: Behavior, RPC, Invocation.
+    ports: [VecDeque<T>; 3],
+    state: MailboxState,
+    /// The behavior while no batch runs; `None` once the actor stopped.
+    slot: Option<S>,
+}
+
+impl<T, S> Inner<T, S> {
+    fn len(&self) -> usize {
+        self.ports.iter().map(VecDeque::len).sum()
+    }
+}
+
+fn rank(port: Port) -> usize {
+    match port {
+        Port::Behavior => 0,
+        Port::Rpc => 1,
+        Port::Invocation => 2,
+    }
+}
+
+impl<T, S> Mailbox<T, S> {
+    /// An idle, empty mailbox holding `slot`.
+    pub fn new(slot: S) -> Mailbox<T, S> {
         Mailbox {
-            behavior: Mutex::new(LockClass::Mailbox, VecDeque::new()),
-            rpc: Mutex::new(LockClass::Mailbox, VecDeque::new()),
-            invocation: Mutex::new(LockClass::Mailbox, VecDeque::new()),
-            state: AtomicUsize::new(IDLE),
-            len: AtomicUsize::new(0),
+            inner: Mutex::new(
+                LockClass::Mailbox,
+                Inner {
+                    ports: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                    state: MailboxState::Idle,
+                    slot: Some(slot),
+                },
+            ),
         }
     }
 
-    /// Enqueues a payload on `port`. Returns `true` when the caller must
-    /// hand the actor to the scheduler (the mailbox was idle).
-    pub fn push(&self, port: Port, payload: Payload, route: Option<Route>) -> bool {
-        match port {
-            Port::Behavior => self.behavior.lock().push_back((payload, route)),
-            Port::Rpc => self.rpc.lock().push_back((payload, route)),
-            Port::Invocation => self.invocation.lock().push_back((payload, route)),
+    /// Enqueues `item` on `port`. Returns `true` when this push made the
+    /// idle → scheduled transition: the caller must hand the actor to the
+    /// scheduler.
+    pub fn push(&self, port: Port, item: T) -> bool {
+        let mut inner = self.inner.lock();
+        inner.ports[rank(port)].push_back(item);
+        if inner.state == MailboxState::Idle {
+            inner.state = MailboxState::Scheduled;
+            true
+        } else {
+            false
         }
-        self.len.fetch_add(1, Ordering::SeqCst);
-        self.try_schedule()
     }
 
-    /// Attempts the idle → scheduled transition. Returns true on success
-    /// (caller must inject the actor).
-    pub fn try_schedule(&self) -> bool {
-        self.state
-            .compare_exchange(IDLE, SCHEDULED, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+    /// Starts a batch on a scheduled mailbox: marks it running, moves up to
+    /// `max` entries into `out` in port-priority order, and lends out the
+    /// behavior (`None` if the actor stopped). Pair with
+    /// [`Mailbox::finish`].
+    pub fn take_batch(&self, max: usize, out: &mut Vec<T>) -> Option<S> {
+        let mut inner = self.inner.lock();
+        debug_assert_eq!(inner.state, MailboxState::Scheduled);
+        inner.state = MailboxState::Running;
+        for queue in &mut inner.ports {
+            let n = max.saturating_sub(out.len()).min(queue.len());
+            out.extend(queue.drain(..n));
+        }
+        inner.slot.take()
     }
 
-    /// Marks the mailbox running (worker picked it up).
-    pub fn begin_running(&self) {
-        self.state.store(RUNNING, Ordering::Release);
-    }
-
-    /// Returns the mailbox to idle after a batch. Returns `true` if
-    /// messages remain and the caller won the right to re-schedule.
-    pub fn finish_running(&self) -> bool {
-        self.state.store(IDLE, Ordering::SeqCst);
-        // Re-check: a producer may have enqueued after our last pop but
-        // before the store above — it would have seen RUNNING and not
-        // scheduled, so the responsibility is ours.
-        self.len.load(Ordering::SeqCst) > 0 && self.try_schedule()
-    }
-
-    /// Pops the next payload by port priority.
-    pub fn pop(&self) -> Option<Queued> {
-        let got = {
-            if let Some(p) = self.behavior.lock().pop_front() {
-                Some(p)
-            } else if let Some(p) = self.rpc.lock().pop_front() {
-                Some(p)
-            } else {
-                self.invocation.lock().pop_front()
-            }
+    /// Ends a batch: puts the behavior back (`None` stops the actor) and
+    /// makes the mailbox idle if it is empty. Returns `true` when entries
+    /// remain: the mailbox stays scheduled and the caller must re-queue the
+    /// actor.
+    pub fn finish(&self, slot: Option<S>) -> bool {
+        let mut inner = self.inner.lock();
+        debug_assert_eq!(inner.state, MailboxState::Running);
+        inner.slot = slot;
+        let more = inner.len() > 0;
+        inner.state = if more {
+            MailboxState::Scheduled
+        } else {
+            MailboxState::Idle
         };
-        if got.is_some() {
-            self.len.fetch_sub(1, Ordering::Release);
-        }
-        got
+        more
     }
 
     /// Empties every queue, returning the entries in port-priority order.
     /// Used to harvest accepted-but-unprocessed messages from a crashed
     /// node's mailboxes for failover re-routing.
-    pub fn drain(&self) -> Vec<Queued> {
-        let mut out = Vec::new();
-        out.extend(self.behavior.lock().drain(..));
-        out.extend(self.rpc.lock().drain(..));
-        out.extend(self.invocation.lock().drain(..));
-        self.len.fetch_sub(out.len(), Ordering::Release);
-        out
+    pub fn drain(&self) -> Vec<T> {
+        let mut inner = self.inner.lock();
+        inner.ports.iter_mut().flat_map(|q| q.drain(..)).collect()
     }
 
-    /// Total queued messages.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+    /// The scheduling state and the number of queued entries, read
+    /// together under the lock.
+    pub fn status(&self) -> (MailboxState, usize) {
+        let inner = self.inner.lock();
+        (inner.state, inner.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Message;
-    use crate::value::Value;
 
-    fn user(i: i64) -> Payload {
-        Payload::User(Message::new(Value::int(i)))
-    }
-
-    fn rpc(i: i64) -> Payload {
-        Payload::User(Message::rpc(None, Value::int(i)))
-    }
-
-    fn val(q: Queued) -> i64 {
-        match q.0 {
-            Payload::User(m) => m.body.as_int().unwrap(),
-            _ => panic!("expected user payload"),
-        }
+    fn take(mb: &Mailbox<u32, ()>, max: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        mb.take_batch(max, &mut out);
+        out
     }
 
     #[test]
     fn fifo_within_a_port() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::new(());
         for i in 0..5 {
-            mb.push(Port::Invocation, user(i), None);
+            mb.push(Port::Invocation, i);
         }
-        for i in 0..5 {
-            assert_eq!(val(mb.pop().unwrap()), i);
-        }
-        assert!(mb.pop().is_none());
+        assert_eq!(take(&mb, 16), vec![0, 1, 2, 3, 4]);
+        assert!(!mb.finish(Some(())));
     }
 
     #[test]
     fn port_priority_behavior_then_rpc_then_invocation() {
-        let mb = Mailbox::new();
-        mb.push(Port::Invocation, user(3), None);
-        mb.push(Port::Rpc, rpc(2), None);
-        mb.push(Port::Behavior, Payload::Start, None);
-        assert!(matches!(mb.pop().unwrap().0, Payload::Start));
-        assert_eq!(val(mb.pop().unwrap()), 2);
-        assert_eq!(val(mb.pop().unwrap()), 3);
+        let mb = Mailbox::new(());
+        mb.push(Port::Invocation, 3);
+        mb.push(Port::Rpc, 2);
+        mb.push(Port::Behavior, 1);
+        assert_eq!(take(&mb, 16), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn batch_takes_at_most_max_in_priority_order() {
+        let mb = Mailbox::new(());
+        mb.push(Port::Invocation, 30);
+        mb.push(Port::Invocation, 31);
+        mb.push(Port::Rpc, 20);
+        mb.push(Port::Behavior, 10);
+        assert_eq!(take(&mb, 3), vec![10, 20, 30]);
+        assert!(mb.finish(Some(())), "one entry left: stays scheduled");
+        assert_eq!(mb.status(), (MailboxState::Scheduled, 1));
+        assert_eq!(take(&mb, 3), vec![31]);
+        assert!(!mb.finish(Some(())));
+        assert_eq!(mb.status(), (MailboxState::Idle, 0));
     }
 
     #[test]
     fn first_push_schedules_subsequent_do_not() {
-        let mb = Mailbox::new();
-        assert!(
-            mb.push(Port::Invocation, user(1), None),
-            "idle mailbox must schedule"
-        );
-        assert!(
-            !mb.push(Port::Invocation, user(2), None),
-            "already scheduled"
-        );
-        assert_eq!(mb.len(), 2);
+        let mb = Mailbox::new(());
+        assert!(mb.push(Port::Invocation, 1), "idle mailbox must schedule");
+        assert!(!mb.push(Port::Invocation, 2), "already scheduled");
+        assert_eq!(mb.status(), (MailboxState::Scheduled, 2));
     }
 
     #[test]
-    fn finish_running_detects_racing_messages() {
-        let mb = Mailbox::new();
-        assert!(mb.push(Port::Invocation, user(1), None));
-        mb.begin_running();
+    fn push_during_a_batch_is_left_to_finish() {
+        let mb = Mailbox::new(());
+        assert!(mb.push(Port::Invocation, 1));
+        assert_eq!(take(&mb, 16), vec![1]);
         // While running, pushes do not schedule.
-        assert!(!mb.push(Port::Invocation, user(2), None));
-        mb.pop().unwrap();
-        // One message left: finishing must hand back a reschedule.
-        assert!(mb.finish_running());
-        mb.begin_running();
-        mb.pop().unwrap();
-        assert!(!mb.finish_running());
+        assert!(!mb.push(Port::Behavior, 2));
+        // The entry that raced in: finishing hands back the reschedule.
+        assert!(mb.finish(Some(())));
+        assert_eq!(take(&mb, 16), vec![2]);
+        assert!(!mb.finish(Some(())));
     }
 
     #[test]
-    fn len_tracks_pushes_and_pops() {
-        let mb = Mailbox::new();
-        assert_eq!(mb.len(), 0);
-        mb.push(Port::Invocation, user(1), None);
-        mb.push(Port::Rpc, rpc(2), None);
-        assert_eq!(mb.len(), 2);
-        mb.pop();
-        assert_eq!(mb.len(), 1);
-        mb.pop();
-        assert_eq!(mb.len(), 0);
+    fn behavior_slot_is_lent_for_the_batch() {
+        let mb: Mailbox<u32, &str> = Mailbox::new("first");
+        mb.push(Port::Invocation, 1);
+        let mut out = Vec::new();
+        assert_eq!(mb.take_batch(16, &mut out), Some("first"));
+        mb.finish(Some("second"));
+        mb.push(Port::Invocation, 2);
+        assert_eq!(mb.take_batch(16, &mut out), Some("second"));
+        mb.finish(None);
+        mb.push(Port::Invocation, 3);
+        assert_eq!(mb.take_batch(16, &mut out), None, "stopped actor");
+    }
+
+    #[test]
+    fn drain_empties_every_port() {
+        let mb = Mailbox::new(());
+        mb.push(Port::Invocation, 3);
+        mb.push(Port::Behavior, 1);
+        assert_eq!(mb.drain(), vec![1, 3]);
+        assert_eq!(mb.status().1, 0);
     }
 
     #[test]
     fn concurrent_pushers_schedule_exactly_once() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        let mb = Arc::new(Mailbox::new());
+        let mb = Arc::new(Mailbox::new(()));
         let schedules = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for t in 0..8 {
@@ -227,7 +244,7 @@ mod tests {
             let schedules = schedules.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    if mb.push(Port::Invocation, user(t * 100 + i), None) {
+                    if mb.push(Port::Invocation, t * 100 + i) {
                         schedules.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -241,6 +258,6 @@ mod tests {
             1,
             "exactly one scheduling transition"
         );
-        assert_eq!(mb.len(), 800);
+        assert_eq!(mb.status(), (MailboxState::Scheduled, 800));
     }
 }

@@ -23,6 +23,10 @@ pub enum Port {
     Invocation,
 }
 
+/// One queued mailbox entry: the payload plus the pattern resolution that
+/// produced it (if any), retained for failover re-routing.
+pub(crate) type Queued = (Payload, Option<Route>);
+
 /// A delivered message as a behavior sees it.
 #[derive(Debug, Clone)]
 pub struct Message {

@@ -1,61 +1,61 @@
-//! The worker loop: steal a scheduled actor, drain a batch of its mailbox,
-//! hand it back.
+//! The worker loop: pop a scheduled actor from the node's run queue, run a
+//! batch of its mailbox, hand it back.
 //!
-//! Workers share a single [`Injector`](crossbeam::deque::Injector) queue of
-//! scheduled actors. Each actor is in the queue at most once (the mailbox
-//! state machine), so fairness is per-actor round-robin with a configurable
-//! batch size. Workers park on a condition variable when the queue is
-//! empty; every injection takes the sleep lock and notifies, so wakeups are
-//! never lost.
+//! Each node has one run queue: a [`RunQueue`] of ready actors plus the
+//! count of sleeping workers, under one mutex (class `scheduler`) with one
+//! condition variable. Each actor is in the queue at most once (the
+//! mailbox state machine), so fairness is per-actor round-robin with a
+//! configurable batch size. A worker pops an actor or sleeps under that
+//! lock, and scheduling notifies only when a worker sleeps, so wake-ups
+//! are neither lost nor wasted.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use actorspace_obs::{DeadLetterReason, TraceId};
-use crossbeam::deque::Steal;
 
-use crate::actor::ActorCell;
+use crate::actor::{ActorCell, BoxBehavior};
 use crate::ctx::Ctx;
-use crate::message::Payload;
+use crate::message::{Payload, Queued};
 use crate::system::Shared;
 
+/// A node's ready actors and sleeping-worker count.
+pub(crate) struct RunQueue {
+    pub ready: VecDeque<Arc<ActorCell>>,
+    pub sleepers: usize,
+}
+
 pub(crate) fn run_worker(shared: Arc<Shared>) {
+    let mut batch = Vec::with_capacity(shared.batch);
+    while let Some(cell) = next_ready(&shared) {
+        process_batch(&shared, cell, &mut batch);
+    }
+}
+
+/// Pops the next ready actor, sleeping while there is none. `None` once
+/// the node shuts down.
+fn next_ready(shared: &Shared) -> Option<Arc<ActorCell>> {
+    let mut queue = shared.run_queue.lock();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
-            return;
+            return None;
         }
-        match shared.injector.steal() {
-            Steal::Success(cell) => process_batch(&shared, cell),
-            Steal::Retry => continue,
-            Steal::Empty => park(&shared),
+        if let Some(cell) = queue.ready.pop_front() {
+            return Some(cell);
         }
+        queue.sleepers += 1;
+        shared.run_cv.wait(&mut queue);
+        queue.sleepers -= 1;
     }
 }
 
-fn park(shared: &Shared) {
-    let mut sleeping = shared.sleep_lock.lock();
-    // Re-check under the lock: an injection between our failed steal and
-    // here would have notified before we wait, so verify emptiness now.
-    if shared.shutdown.load(Ordering::Acquire) || !shared.injector.is_empty() {
-        return;
-    }
-    *sleeping += 1;
-    shared.sleep_cv.wait(&mut sleeping);
-    *sleeping -= 1;
-}
-
-fn process_batch(shared: &Arc<Shared>, cell: Arc<ActorCell>) {
-    cell.mailbox.begin_running();
-    // Take the behavior out for the duration of the batch; the state
-    // machine guarantees exclusivity.
-    let mut behavior = cell.behavior.lock().take();
+fn process_batch(shared: &Arc<Shared>, cell: Arc<ActorCell>, batch: &mut Vec<Queued>) {
+    let mut behavior = cell.mailbox.take_batch(shared.batch, batch);
     let mut stopped = behavior.is_none();
 
-    for _ in 0..shared.batch {
-        let Some((payload, route)) = cell.mailbox.pop() else {
-            break;
-        };
+    for (payload, route) in batch.drain(..) {
         let trace = route.map(|r| r.trace).unwrap_or(TraceId::NONE);
         match payload {
             Payload::Start => {
@@ -111,33 +111,19 @@ fn process_batch(shared: &Arc<Shared>, cell: Arc<ActorCell>) {
             }
         }
         shared.dec_pending();
-        if stopped {
-            // Drain whatever remains as dead letters.
-            while let Some((p, r)) = cell.mailbox.pop() {
-                if matches!(p, Payload::User(_)) {
-                    shared.note_dead_letter(
-                        DeadLetterReason::StoppedActor,
-                        Some(cell.id),
-                        r.map(|r| r.trace).unwrap_or(TraceId::NONE),
-                    );
-                }
-                shared.dec_pending();
-            }
-            break;
-        }
     }
 
-    *cell.behavior.lock() = behavior;
-    if cell.mailbox.finish_running() {
-        shared.injector.push(cell);
-        shared.notify_worker();
+    // A stopped actor keeps its slot empty; whatever is still queued is
+    // dead-lettered by the next batch.
+    if cell.mailbox.finish(behavior) {
+        shared.schedule(cell);
     }
 }
 
 fn apply_ctx(
     shared: &Arc<Shared>,
     cell: &Arc<ActorCell>,
-    behavior: &mut Option<Box<dyn crate::actor::Behavior>>,
+    behavior: &mut Option<BoxBehavior>,
     ctx: Ctx<'_>,
     stopped: &mut bool,
 ) {

@@ -5,13 +5,12 @@
 //! per actorSpace, see `actorspace_core::shard`), the actor table, and a
 //! pool of worker threads draining mailboxes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use actorspace_lockcheck::{Condvar, LockClass, Mutex, RwLock};
-use crossbeam::deque::Injector;
 
 use actorspace_atoms::Path;
 use actorspace_capability::{CapMinter, Capability};
@@ -23,7 +22,7 @@ use actorspace_obs::{names, Counter, DeadLetter, DeadLetterReason, Obs, Stage, T
 
 use crate::actor::{ActorCell, Behavior};
 use crate::message::{Envelope, Message, Payload};
-use crate::scheduler;
+use crate::scheduler::{self, RunQueue};
 use crate::transport::Transport;
 use crate::value::Value;
 
@@ -88,7 +87,6 @@ pub struct Stats {
 /// State shared between the API, workers, and contexts.
 pub(crate) struct Shared {
     pub actors: RwLock<HashMap<ActorId, Arc<ActorCell>>>,
-    pub injector: Injector<Arc<ActorCell>>,
     /// The sharded coordinator. Operations take `&self` and lock only the
     /// shards their scope reaches; no outer mutex. The registry may take
     /// the `actors` read lock through its sinks (delivery), so no path may
@@ -99,9 +97,9 @@ pub(crate) struct Shared {
     pub pending: AtomicUsize,
     pub idle_lock: Mutex<()>,
     pub idle_cv: Condvar,
-    /// Count of parked workers, under its own lock (wakeup protocol).
-    pub sleep_lock: Mutex<usize>,
-    pub sleep_cv: Condvar,
+    /// The node's run queue of scheduled actors and its sleeping workers.
+    pub run_queue: Mutex<RunQueue>,
+    pub run_cv: Condvar,
     pub shutdown: AtomicBool,
     /// The shared observer and this node's label on it.
     pub obs: Arc<Obs>,
@@ -138,9 +136,8 @@ impl Shared {
                         .record(r.trace, self.node, Stage::Routed { node: self.node });
                 }
                 self.pending.fetch_add(1, Ordering::AcqRel);
-                if cell.mailbox.push(port, payload, route) {
-                    self.injector.push(cell);
-                    self.notify_worker();
+                if cell.mailbox.push(port, (payload, route)) {
+                    self.schedule(cell);
                 }
                 true
             }
@@ -175,9 +172,14 @@ impl Shared {
             .record(trace, self.node, Stage::DeadLettered);
     }
 
-    pub fn notify_worker(&self) {
-        let _g = self.sleep_lock.lock();
-        self.sleep_cv.notify_one();
+    /// Puts a scheduled actor on the run queue, waking a worker only if
+    /// one sleeps.
+    pub fn schedule(&self, cell: Arc<ActorCell>) {
+        let mut queue = self.run_queue.lock();
+        queue.ready.push_back(cell);
+        if queue.sleepers > 0 {
+            self.run_cv.notify_one();
+        }
     }
 
     /// Decrements the pending counter, waking idle waiters at zero.
@@ -321,14 +323,19 @@ impl ActorSystem {
         registry.set_obs(obs.clone(), node);
         let shared = Arc::new(Shared {
             actors: RwLock::new(LockClass::Actors, HashMap::new()),
-            injector: Injector::new(),
             registry,
             minter: CapMinter::new(),
             pending: AtomicUsize::new(0),
             idle_lock: Mutex::new(LockClass::Scheduler, ()),
             idle_cv: Condvar::new(),
-            sleep_lock: Mutex::new(LockClass::Scheduler, 0),
-            sleep_cv: Condvar::new(),
+            run_queue: Mutex::new(
+                LockClass::Scheduler,
+                RunQueue {
+                    ready: VecDeque::new(),
+                    sleepers: 0,
+                },
+            ),
+            run_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             dead_letters: obs.metrics.counter(names::RT_DEAD_LETTERS, node),
             suspicions: obs.metrics.counter(names::RT_SUSPICIONS, node),
@@ -798,8 +805,8 @@ impl ActorSystem {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _g = self.shared.sleep_lock.lock();
-            self.shared.sleep_cv.notify_all();
+            let _g = self.shared.run_queue.lock();
+            self.shared.run_cv.notify_all();
         }
         let mut workers = self.workers.lock();
         for h in workers.drain(..) {

@@ -5,11 +5,14 @@
 //! Two rules, both scoped to first-party `.rs` sources (`crates/`, `src/`,
 //! excluding `crates/lockcheck` and anything under `vendor/` or `target/`):
 //!
-//! 1. **No raw `parking_lot`.** Every lock must go through the
+//! 1. **No hidden locks.** Every lock must go through the
 //!    `actorspace_lockcheck` wrappers so the `--features lockcheck` build
-//!    instruments it; a raw `parking_lot` type would be invisible to the
-//!    order graph. Only `crates/lockcheck` (the wrapper itself) and the
-//!    vendored stub may name it.
+//!    instruments it and `lock.<class>.*` timing counts it; a raw lock
+//!    would be invisible to both. So no first-party source names
+//!    `parking_lot`, and none names `std::sync::{Mutex, RwLock, Condvar}`
+//!    above its first `#[cfg(test)]` (test code may use std locks). Only
+//!    `crates/lockcheck` (the wrapper itself) and the vendored crates are
+//!    exempt.
 //! 2. **No `.lock()` / `.write()` inside inline sink closures.** A closure
 //!    passed as an argument to `.send(` / `.broadcast(` / `.resend(` /
 //!    `.make_visible(` / `.change_attributes(` runs under the
@@ -58,6 +61,12 @@ fn main() -> ExitCode {
                         ln + 1
                     ));
                 }
+            }
+            for (ln, what) in std_locks_outside_tests(&code) {
+                errors.push(format!(
+                    "{shown}:{ln}: `std::sync::{what}` outside test code — \
+                     use the actorspace_lockcheck wrappers"
+                ));
             }
         }
         for (ln, what) in locks_in_sink_closures(&code) {
@@ -162,6 +171,47 @@ fn strip_comments_and_strings(src: &str) -> String {
         }
     }
     out
+}
+
+/// Finds `std::sync::Mutex` / `RwLock` / `Condvar` named above the first
+/// `#[cfg(test)]`, directly or inside a `use std::sync::{…}` group.
+/// Returns (1-based line, type name).
+fn std_locks_outside_tests(code: &str) -> Vec<(usize, &'static str)> {
+    const LOCKS: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+    const PREFIX: &str = "std::sync::";
+    let code = &code[..code.find("#[cfg(test)]").unwrap_or(code.len())];
+    let mut hits = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = code[from..].find(PREFIX) {
+        let start = from + pos + PREFIX.len();
+        let rest = &code[start..];
+        // The names this path reaches: a `{…}` group or one identifier.
+        let end = if rest.starts_with('{') {
+            let mut depth = 0usize;
+            rest.char_indices()
+                .find(|&(_, c)| {
+                    match c {
+                        '{' => depth += 1,
+                        '}' => depth -= 1,
+                        _ => {}
+                    }
+                    depth == 0
+                })
+                .map_or(rest.len(), |(i, _)| i + 1)
+        } else {
+            rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len())
+        };
+        let mut at = start;
+        for word in rest[..end].split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if let Some(&lock) = LOCKS.iter().find(|&&l| l == word) {
+                hits.push((code[..at].matches('\n').count() + 1, lock));
+            }
+            at += word.len() + 1;
+        }
+        from = start + end;
+    }
+    hits
 }
 
 /// Finds `.lock(` / `.write(` occurrences lexically inside a closure that

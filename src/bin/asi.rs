@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use actorspace::interp::{eval_with_ctx, parse_all, BehaviorLib, Env, Sexp};
 use actorspace::prelude::*;
-use std::sync::Mutex;
+use actorspace_lockcheck::{LockClass, Mutex};
 
 /// Messages the driver actor understands.
 enum Request {
@@ -50,7 +50,7 @@ fn main() {
     // The driver: evaluates submitted expressions with full actor powers
     // and a persistent environment.
     let mut lib = Arc::new(BehaviorLib::default());
-    let driver_lib = Arc::new(Mutex::new(lib.clone()));
+    let driver_lib = Arc::new(Mutex::new(LockClass::Other("asi.driver_lib"), lib.clone()));
     let driver = {
         let driver_lib = driver_lib.clone();
         let mut base = HashMap::new();
@@ -62,11 +62,11 @@ fn main() {
             while let Ok(req) = req_rx.try_recv() {
                 match req {
                     Request::SwapLib(new_lib) => {
-                        *driver_lib.lock().unwrap() = new_lib;
+                        *driver_lib.lock() = new_lib;
                         let _ = resp_tx.send("behaviors loaded".to_owned());
                     }
                     Request::Eval(expr) => {
-                        let lib = driver_lib.lock().unwrap().clone();
+                        let lib = driver_lib.lock().clone();
                         let out = match eval_with_ctx(&lib, &mut env, ctx, &expr) {
                             Ok((v, _become)) => format!("{v}"),
                             Err(e) => format!("error: {e}"),
