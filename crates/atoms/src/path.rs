@@ -5,6 +5,7 @@
 //! (with a special combination operator `/`), much as is the case with file
 //! names in a conventional file-system."
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 use std::str::FromStr;
@@ -173,6 +174,14 @@ impl Index<usize> for Path {
     type Output = Atom;
     fn index(&self, i: usize) -> &Atom {
         &self.0[i]
+    }
+}
+
+/// Lets ordered maps keyed by `Path` be searched with a borrowed atom
+/// slice. Sound because `Path`'s derived `Ord` is the slice order.
+impl Borrow<[Atom]> for Path {
+    fn borrow(&self) -> &[Atom] {
+        &self.0
     }
 }
 

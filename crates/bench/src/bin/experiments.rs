@@ -824,74 +824,95 @@ fn e11_repository() {
 // ---------------------------------------------------------------- E12
 
 fn e12_attr_index() {
+    // One registry per size with a fixed 10 instances per class
+    // (`srv/class-{i/10}/inst-{i}`), so every anchored query has the same
+    // answer at every size. Each cell is the median over 15 rounds.
+    //
+    // E12_QUICK=1 runs 10^3 and 10^4 only, for CI. Either way the run
+    // exits nonzero when the exact-hit or prefix cell at a larger size is
+    // more than 4x its 10^3 cell: a linear scan reads about 10x per decade.
+    let quick = std::env::var("E12_QUICK").is_ok();
+    let sizes: &[usize] = if quick {
+        &[1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 100_000]
+    };
     let mut t = Table::new(
-        "E12 (ablation): literal-pattern resolution — inverted index vs NFA walk (per query)",
+        "E12: resolution through the path-ordered attribute index (per query, median of 15 rounds)",
         &[
             "visible actors",
-            "exact indexed",
-            "exact unindexed",
-            "miss indexed",
-            "wildcard",
+            "exact hit",
+            "exact miss",
+            "prefix srv/class-1/*",
+            "unanchored **/inst-1",
         ],
     );
-    for n in [1_000usize, 10_000, 100_000] {
-        let build = |use_index: bool| {
-            let policy = ManagerPolicy {
-                use_literal_index: use_index,
-                ..Default::default()
-            };
-            let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
-            let space = reg.create_space(None);
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-            for i in 0..n {
-                let a = reg.create_actor(space, None).unwrap();
-                reg.make_visible(
-                    a.into(),
-                    vec![path(&format!("srv/class-{}/inst-{}", i % 97, i))],
-                    space,
-                    None,
-                    &mut sink,
-                )
+    // (pattern, expected answer size, scans the whole index)
+    let queries = [
+        (pattern("srv/class-1/inst-10"), 1, false),
+        (pattern("srv/class-1/inst-absent"), 0, false),
+        (pattern("srv/class-1/*"), 10, false),
+        (pattern("**/inst-1"), 1, true),
+    ];
+    let fmt = |d: Duration| {
+        if d < Duration::from_millis(1) {
+            format!("{:.2}µs", d.as_nanos() as f64 / 1e3)
+        } else {
+            fmt_dur(d)
+        }
+    };
+    let mut medians: Vec<Vec<Duration>> = Vec::new();
+    for &n in sizes {
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
+        let space = reg.create_space(None);
+        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        for i in 0..n {
+            let a = reg.create_actor(space, None).unwrap();
+            let attr = path(&format!("srv/class-{}/inst-{i}", i / 10));
+            reg.make_visible(a.into(), vec![attr], space, None, &mut sink)
                 .unwrap();
-            }
-            (reg, space)
-        };
-        let (indexed, si) = build(true);
-        let (unindexed, su) = build(false);
-        let exact = Pattern::parse("srv/class-1/inst-1").unwrap();
-        let missing = Pattern::parse("srv/class-1/inst-absent").unwrap();
-        let wildcard = pattern("srv/class-1/*");
-        let reps = 500u32;
-        let (_, d_ie) = time_it(|| {
-            for _ in 0..reps {
-                assert_eq!(indexed.resolve(&exact, si).unwrap().len(), 1);
-            }
-        });
-        let (_, d_ue) = time_it(|| {
-            for _ in 0..reps.min(100) {
-                assert_eq!(unindexed.resolve(&exact, su).unwrap().len(), 1);
-            }
-        });
-        let (_, d_miss) = time_it(|| {
-            for _ in 0..reps {
-                assert!(indexed.resolve(&missing, si).unwrap().is_empty());
-            }
-        });
-        let (_, d_wild) = time_it(|| {
-            for _ in 0..reps.min(100) {
-                indexed.resolve(&wildcard, si).unwrap();
-            }
-        });
-        t.row(&[
-            n.to_string(),
-            fmt_dur(d_ie / reps),
-            fmt_dur(d_ue / reps.min(100)),
-            fmt_dur(d_miss / reps),
-            fmt_dur(d_wild / reps.min(100)),
-        ]);
+        }
+        let row: Vec<Duration> = queries
+            .iter()
+            .map(|(pat, answer, scans)| {
+                let reps = if *scans { (200_000 / n).max(2) } else { 1_000 };
+                let mut rounds: Vec<Duration> = (0..15)
+                    .map(|_| {
+                        let (_, d) = time_it(|| {
+                            for _ in 0..reps {
+                                assert_eq!(reg.resolve(pat, space).unwrap().len(), *answer);
+                            }
+                        });
+                        d / reps as u32
+                    })
+                    .collect();
+                rounds.sort_unstable();
+                rounds[rounds.len() / 2]
+            })
+            .collect();
+        let mut cells = vec![n.to_string()];
+        cells.extend(row.iter().map(|&d| fmt(d)));
+        t.row(&cells);
+        medians.push(row);
     }
     t.print();
-    println!("(wildcard queries keep the NFA walk — expressiveness is unchanged; see prop test literal_index_matches_nfa_walk)");
+    println!("json: {}", t.to_json());
+    let mut flat = true;
+    for (n, row) in sizes.iter().zip(&medians).skip(1) {
+        for (col, name) in [(0, "exact hit"), (2, "prefix")] {
+            let ratio = row[col].as_secs_f64() / medians[0][col].as_secs_f64();
+            if ratio > 4.0 {
+                eprintln!(
+                    "E12 shape gate: {name} at {n} visible actors is {ratio:.1}x its {} cell (limit 4x)",
+                    sizes[0]
+                );
+                flat = false;
+            }
+        }
+    }
+    if !flat {
+        std::process::exit(1);
+    }
 }
 
 // ---------------------------------------------------------------- E13

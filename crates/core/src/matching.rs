@@ -8,15 +8,23 @@
 //! pattern `srv/fib`.
 //!
 //! Rather than materializing every joined attribute path (exponential in
-//! the worst case), resolution walks the membership tree carrying the
-//! pattern NFA's live [`StateSet`]: each attribute advances the state set
-//! atom by atom, actor members are collected when the set accepts, and
-//! space members are descended into with the post-prefix state set. Dead
-//! state sets prune whole subtrees. The visibility relation is a DAG
-//! (§5.7), so the walk terminates; a depth limit additionally bounds work.
+//! the worst case), one walk descends the membership tree. Each space keeps
+//! its attributes in a path-ordered index, so the pattern's *literal run*
+//! (its leading atoms, [`Pattern::literal_run`]) is matched by seeking, not
+//! scanning: the walk descends into sub-spaces registered under a proper
+//! prefix of the run, carrying the rest of it, then visits only the index
+//! range of attributes that start with the run, stepping the pattern NFA's
+//! live [`StateSet`] over each one's remaining atoms. A literal pattern
+//! takes no NFA step at all; a leading `**` has an empty run and scans the
+//! whole index. Past the run, sub-spaces are descended into with their
+//! post-prefix state sets, and dead state sets prune whole subtrees. The
+//! visibility relation is a DAG (§5.7), so the walk terminates; a depth
+//! limit additionally bounds work.
 
 use std::collections::HashSet;
+use std::ops::Bound;
 
+use actorspace_atoms::{Atom, Path};
 use actorspace_pattern::{Pattern, StateSet};
 
 use crate::error::{Error, Result};
@@ -39,46 +47,12 @@ pub(crate) fn resolve_actors<M>(
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<ActorId>> {
-    let root = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    let max_depth = root.policy().max_match_depth;
-    let mut out: HashSet<ActorId> = HashSet::new();
-    // Fast path: a literal pattern matches exactly one attribute path,
-    // so the per-space inverted index answers it without an NFA walk.
-    // Attributes are always literal, so this is complete, including
-    // through nested spaces (prefix-stripping recursion).
-    if root.policy().use_literal_index {
-        if let Some(lit) = pattern.as_literal() {
-            let mut visited = HashSet::new();
-            walk_literal(
-                store,
-                pattern,
-                &lit,
-                space,
-                0,
-                max_depth,
-                &mut visited,
-                &mut |a| {
-                    out.insert(a);
-                },
-            )?;
-            let mut v: Vec<ActorId> = out.into_iter().collect();
-            v.sort_unstable();
-            return Ok(v);
-        }
-    }
-    let mut visited = HashSet::new();
-    walk(
-        store,
-        pattern,
-        space,
-        pattern.start(),
-        0,
-        max_depth,
-        &mut visited,
-        &mut |a| {
+    let mut out = HashSet::new();
+    resolve(store, pattern, space, |m| {
+        if let MemberId::Actor(a) = m {
             out.insert(a);
-        },
-    )?;
+        }
+    })?;
     let mut v: Vec<ActorId> = out.into_iter().collect();
     v.sort_unstable();
     Ok(v)
@@ -92,207 +66,196 @@ pub(crate) fn resolve_spaces_in<M>(
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<SpaceId>> {
-    let root = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    let max_depth = root.policy().max_match_depth;
-    let mut out: HashSet<SpaceId> = HashSet::new();
-    let mut visited = HashSet::new();
-    walk_spaces(
-        store,
-        pattern,
-        space,
-        pattern.start(),
-        0,
-        max_depth,
-        &mut visited,
-        &mut |s| {
+    let mut out = HashSet::new();
+    resolve(store, pattern, space, |m| {
+        if let MemberId::Space(s) = m {
             out.insert(s);
-        },
-    )?;
+        }
+    })?;
     let mut v: Vec<SpaceId> = out.into_iter().collect();
     v.sort_unstable();
     Ok(v)
 }
 
-/// Literal resolution: exact index hit for direct actors, plus recursion
-/// into sub-spaces whose (literal) attribute prefixes the target path.
-#[allow(clippy::too_many_arguments)] // internal recursion carries its full context
-fn walk_literal<M>(
-    store: &impl SpaceStore<M>,
-    original: &Pattern,
-    target: &actorspace_atoms::Path,
-    space: SpaceId,
-    depth: usize,
-    max_depth: usize,
-    visited: &mut HashSet<(SpaceId, actorspace_atoms::Path)>,
-    found: &mut impl FnMut(ActorId),
-) -> Result<()> {
-    // Visited-state dedup: terminates cyclic visibility graphs (§5.7's
-    // tagging alternative) and prunes diamond re-walks.
-    if !visited.insert((space, target.clone())) {
-        return Ok(());
-    }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    for member in sp.members_with_attr(target) {
-        if let MemberId::Actor(a) = member {
-            // Index hits have local attribute == remaining target, so a
-            // custom matching rule sees the same (pattern, member, attr)
-            // triple the NFA path would give it.
-            let admitted = sp
-                .match_filter()
-                .map(|f| f(original, *member, target))
-                .unwrap_or(true);
-            if admitted {
-                found(*a);
-            }
-        }
-    }
-    if depth >= max_depth {
-        return Ok(());
-    }
-    for sub in sp.space_members() {
-        if store.get_space(sub).is_none() {
-            continue;
-        }
-        let Some(attrs) = sp.members().get(&MemberId::Space(sub)) else {
-            continue;
-        };
-        for attr in attrs {
-            if let Some(rest) = target.strip_prefix(attr) {
-                walk_literal(
-                    store,
-                    original,
-                    &rest,
-                    sub,
-                    depth + 1,
-                    max_depth,
-                    visited,
-                    found,
-                )?;
-            }
-        }
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carries its full context
-fn walk<M>(
+/// Reports every member `pattern` matches from `space` (actors admitted by
+/// their space's match filter, spaces unfiltered) to `found`, possibly
+/// more than once.
+fn resolve<M>(
     store: &impl SpaceStore<M>,
     pattern: &Pattern,
     space: SpaceId,
-    states: StateSet,
-    depth: usize,
-    max_depth: usize,
-    visited: &mut HashSet<(SpaceId, StateSet)>,
-    found: &mut impl FnMut(ActorId),
+    found: impl FnMut(MemberId),
 ) -> Result<()> {
-    // Visited-state dedup (see `walk_literal`).
-    if !visited.insert((space, states.clone())) {
-        return Ok(());
+    let root = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
+    let after_run = (!pattern.is_literal()).then(|| {
+        pattern
+            .literal_run()
+            .iter()
+            .fold(pattern.start(), |st, &a| st.advance(pattern.nfa(), a))
+    });
+    Walk {
+        store,
+        pattern,
+        after_run: after_run.as_ref(),
+        max_depth: root.policy().max_match_depth,
+        visited: HashSet::new(),
+        found,
     }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    for (member, attrs) in sp.members() {
-        for attr in attrs {
-            // Advance the NFA through this attribute's atoms.
-            let mut st = states.clone();
-            let mut dead = false;
-            for atom in attr.iter() {
-                st = st.advance(pattern.nfa(), atom);
-                if st.is_dead() {
-                    dead = true;
-                    break;
+    .walk(space, At::Run(0), 0)
+}
+
+/// Where a walk stands in the pattern on entering a space: inside the
+/// literal run (at this offset), or past it with these live NFA states.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum At {
+    Run(usize),
+    Nfa(StateSet),
+}
+
+/// One resolution's shared context.
+struct Walk<'a, S, F> {
+    store: &'a S,
+    pattern: &'a Pattern,
+    /// The NFA states after the whole literal run; `None` for a literal
+    /// pattern, which is answered by exact keys alone.
+    after_run: Option<&'a StateSet>,
+    max_depth: usize,
+    /// Visited-state dedup: terminates cyclic visibility graphs (§5.7's
+    /// tagging alternative) and prunes diamond re-walks.
+    visited: HashSet<(SpaceId, At)>,
+    found: F,
+}
+
+impl<'a, S, F: FnMut(MemberId)> Walk<'a, S, F> {
+    fn walk<M: 'a>(&mut self, space: SpaceId, at: At, depth: usize) -> Result<()>
+    where
+        S: SpaceStore<M>,
+    {
+        if !self.visited.insert((space, at.clone())) {
+            return Ok(());
+        }
+        let store: &'a S = self.store;
+        let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
+        let i = match at {
+            At::Nfa(st) => {
+                for (attr, members) in sp.index() {
+                    self.step(sp, attr, attr.atoms(), members, st.clone(), depth)?;
                 }
+                return Ok(());
             }
-            if dead {
-                continue;
-            }
-            match *member {
-                MemberId::Actor(a) => {
-                    if st.is_accepting(pattern.nfa()) {
-                        let admitted = sp
-                            .match_filter()
-                            .map(|f| f(pattern, *member, attr))
-                            .unwrap_or(true);
-                        if admitted {
-                            found(a);
-                        }
-                    }
-                }
-                MemberId::Space(sub) => {
-                    if depth < max_depth {
-                        // Structured attribute: continue matching inside
-                        // the sub-space with the advanced state set.
-                        // Missing sub-spaces (e.g. remote stubs) are
-                        // skipped rather than failing the whole resolve.
-                        if store.get_space(sub).is_some() {
-                            walk(
-                                store,
-                                pattern,
-                                sub,
-                                st,
-                                depth + 1,
-                                max_depth,
-                                visited,
-                                found,
-                            )?;
-                        }
+            At::Run(i) => i,
+        };
+        let run: &'a [Atom] = self.pattern.literal_run();
+        let rest = &run[i..];
+        // Sub-spaces registered under a proper prefix of the rest of the
+        // run: the run continues inside them.
+        if sp.sub_spaces() > 0 {
+            for j in 0..rest.len() {
+                for &m in sp.index().get(&rest[..j]).into_iter().flatten() {
+                    if let MemberId::Space(sub) = m {
+                        self.descend(sub, At::Run(i + j), depth)?;
                     }
                 }
             }
         }
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carries its full context
-fn walk_spaces<M>(
-    store: &impl SpaceStore<M>,
-    pattern: &Pattern,
-    space: SpaceId,
-    states: StateSet,
-    depth: usize,
-    max_depth: usize,
-    visited: &mut HashSet<(SpaceId, StateSet)>,
-    found: &mut impl FnMut(SpaceId),
-) -> Result<()> {
-    if !visited.insert((space, states.clone())) {
-        return Ok(());
-    }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    for (member, attrs) in sp.members() {
-        let MemberId::Space(sub) = *member else {
-            continue;
-        };
-        for attr in attrs {
-            let mut st = states.clone();
-            let mut dead = false;
-            for atom in attr.iter() {
-                st = st.advance(pattern.nfa(), atom);
-                if st.is_dead() {
-                    dead = true;
-                    break;
+        match self.after_run {
+            // A literal matches only the attribute equal to the rest of it.
+            None => {
+                if let Some((attr, members)) = sp.index().get_key_value(rest) {
+                    let next = At::Run(run.len());
+                    for &m in members {
+                        self.member(sp, m, attr, true, &next, depth)?;
+                    }
                 }
             }
-            if dead {
-                continue;
+            // Otherwise every attribute starting with the rest of the run
+            // (one contiguous range) continues on the NFA.
+            Some(after_run) => {
+                let range = sp
+                    .index()
+                    .range::<[Atom], _>((Bound::Included(rest), Bound::Unbounded))
+                    .take_while(|(attr, _)| attr.atoms().starts_with(rest));
+                for (attr, members) in range {
+                    let tail = &attr.atoms()[rest.len()..];
+                    self.step(sp, attr, tail, members, after_run.clone(), depth)?;
+                }
             }
-            if st.is_accepting(pattern.nfa()) {
-                found(sub);
+        }
+        Ok(())
+    }
+
+    /// Steps `st` over `atoms` (the unmatched tail of `attr`) and, unless
+    /// the match dies, reports or descends into `attr`'s members.
+    #[allow(clippy::too_many_arguments)] // the walk's full position
+    fn step<M: 'a>(
+        &mut self,
+        sp: &Space<M>,
+        attr: &Path,
+        atoms: &[Atom],
+        members: &[MemberId],
+        mut st: StateSet,
+        depth: usize,
+    ) -> Result<()>
+    where
+        S: SpaceStore<M>,
+    {
+        let nfa = self.pattern.nfa();
+        for &a in atoms {
+            st = st.advance(nfa, a);
+            if st.is_dead() {
+                return Ok(());
             }
-            if depth < max_depth && store.get_space(sub).is_some() {
-                walk_spaces(
-                    store,
-                    pattern,
-                    sub,
-                    st,
-                    depth + 1,
-                    max_depth,
-                    visited,
-                    found,
-                )?;
+        }
+        let accepting = st.is_accepting(nfa);
+        let next = At::Nfa(st);
+        for &m in members {
+            self.member(sp, m, attr, accepting, &next, depth)?;
+        }
+        Ok(())
+    }
+
+    /// One member under a fully matched attribute: report it if the
+    /// pattern accepts here, and descend into it if it is a space.
+    fn member<M: 'a>(
+        &mut self,
+        sp: &Space<M>,
+        m: MemberId,
+        attr: &Path,
+        accepting: bool,
+        next: &At,
+        depth: usize,
+    ) -> Result<()>
+    where
+        S: SpaceStore<M>,
+    {
+        match m {
+            MemberId::Actor(_) => {
+                if accepting && sp.match_filter().is_none_or(|f| f(self.pattern, m, attr)) {
+                    (self.found)(m);
+                }
+                Ok(())
+            }
+            MemberId::Space(sub) => {
+                if accepting {
+                    (self.found)(m);
+                }
+                self.descend(sub, next.clone(), depth)
             }
         }
     }
-    Ok(())
+
+    /// Structured attribute: continue matching inside a sub-space. Missing
+    /// sub-spaces (e.g. remote stubs) are skipped rather than failing the
+    /// whole resolve.
+    fn descend<M: 'a>(&mut self, sub: SpaceId, at: At, depth: usize) -> Result<()>
+    where
+        S: SpaceStore<M>,
+    {
+        if depth < self.max_depth && self.store.get_space(sub).is_some() {
+            self.walk(sub, at, depth + 1)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -527,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn literal_fast_path_descends_nested_spaces() {
+    fn literals_match_through_prefixed_and_transparent_sub_spaces() {
         let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
@@ -537,8 +500,8 @@ mod tests {
             .unwrap();
         r.make_visible(inner.into(), vec![path("srv")], outer, None, &mut k)
             .unwrap();
-        // `srv/fib` is literal → index path; must match the nested actor.
-        assert!(pattern("srv/fib").as_literal().is_some());
+        // `srv/fib` is literal; it must match the nested actor.
+        assert!(pattern("srv/fib").is_literal());
         assert_eq!(r.resolve(&pattern("srv/fib"), outer).unwrap(), vec![a]);
         // An empty-attribute (transparent) nesting also works literally.
         let ghost = r.create_space(None);
@@ -559,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn literal_index_tracks_attribute_changes() {
+    fn resolution_tracks_attribute_changes() {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
@@ -576,19 +539,104 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_index_gives_identical_results() {
-        let policy = ManagerPolicy {
-            use_literal_index: false,
-            ..Default::default()
-        };
-        let r: ShardedRegistry<u32> = ShardedRegistry::new(policy);
+    fn a_literal_does_not_match_a_longer_attribute() {
+        let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| {};
+        let mut k = sink();
+        r.make_visible(a.into(), vec![path("srv/fib")], s, None, &mut k)
+            .unwrap();
+        assert_eq!(r.resolve(&pattern("srv"), s).unwrap(), vec![]);
+        assert_eq!(r.resolve(&pattern("srv/fib"), s).unwrap(), vec![a]);
+    }
+
+    #[test]
+    fn a_literal_skips_keys_that_only_extend_it() {
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        let b = r.create_actor(s, None).unwrap();
+        let c = r.create_actor(s, None).unwrap();
+        let mut k = sink();
         r.make_visible(a.into(), vec![path("x/y")], s, None, &mut k)
             .unwrap();
+        r.make_visible(b.into(), vec![path("x/y/z")], s, None, &mut k)
+            .unwrap();
+        r.make_visible(c.into(), vec![path("x/y/z/w")], s, None, &mut k)
+            .unwrap();
         assert_eq!(r.resolve(&pattern("x/y"), s).unwrap(), vec![a]);
-        assert_eq!(r.resolve(&pattern("x/z"), s).unwrap(), vec![]);
+        assert_eq!(r.resolve(&pattern("x/y/z"), s).unwrap(), vec![b]);
+        assert_eq!(r.resolve(&pattern("x"), s).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn a_literal_is_found_through_prefix_and_exact_sub_spaces() {
+        let r = reg();
+        let outer = r.create_space(None);
+        let by_prefix = r.create_space(None);
+        let by_exact = r.create_space(None);
+        let a = r.create_actor(by_prefix, None).unwrap();
+        let b = r.create_actor(by_exact, None).unwrap();
+        let mut k = sink();
+        r.make_visible(a.into(), vec![path("fib")], by_prefix, None, &mut k)
+            .unwrap();
+        r.make_visible(by_prefix.into(), vec![path("srv")], outer, None, &mut k)
+            .unwrap();
+        r.make_visible(
+            b.into(),
+            vec![actorspace_atoms::Path::empty()],
+            by_exact,
+            None,
+            &mut k,
+        )
+        .unwrap();
+        r.make_visible(by_exact.into(), vec![path("srv/fib")], outer, None, &mut k)
+            .unwrap();
+        let mut want = vec![a, b];
+        want.sort_unstable();
+        assert_eq!(r.resolve(&pattern("srv/fib"), outer).unwrap(), want);
+        assert_eq!(r.resolve(&pattern("srv/*"), outer).unwrap(), want);
+        assert_eq!(
+            r.resolve_spaces(&pattern("srv/fib"), outer).unwrap(),
+            vec![by_exact]
+        );
+        assert_eq!(
+            r.resolve_spaces(&pattern("srv"), outer).unwrap(),
+            vec![by_prefix]
+        );
+    }
+
+    #[test]
+    fn a_run_stops_at_the_first_key_outside_it() {
+        // Atoms order by interning, so `edge-q` (interned between the run's
+        // atoms) sorts `p/q/leaf` just before the `p/r` range and `edge-t`
+        // sorts `p/t/leaf` just after it.
+        for name in ["edge-p", "edge-q", "edge-r", "edge-t"] {
+            actorspace_atoms::atom(name);
+        }
+        let r = reg();
+        let s = r.create_space(None);
+        let mut k = sink();
+        let mut ids = Vec::new();
+        for attr in [
+            "edge-p/edge-q/leaf",
+            "edge-p/edge-r/leaf",
+            "edge-p/edge-t/leaf",
+        ] {
+            let a = r.create_actor(s, None).unwrap();
+            r.make_visible(a.into(), vec![path(attr)], s, None, &mut k)
+                .unwrap();
+            ids.push(a);
+        }
+        assert_eq!(
+            r.resolve(&pattern("edge-p/edge-r/*"), s).unwrap(),
+            vec![ids[1]]
+        );
+        assert_eq!(
+            r.resolve(&pattern("edge-p/edge-r/leaf"), s).unwrap(),
+            vec![ids[1]]
+        );
+        assert_eq!(r.resolve(&pattern("edge-p/*/leaf"), s).unwrap(), ids);
     }
 
     #[test]
@@ -652,7 +700,7 @@ mod tests {
             let is_deprecated = attr
                 .iter()
                 .any(|at| at == actorspace_atoms::atom("deprecated"));
-            !is_deprecated || pat.as_literal().is_some()
+            !is_deprecated || pat.is_literal()
         });
         r.set_match_filter(s, Some(filter), None).unwrap();
         assert_eq!(r.resolve(&pattern("svc/*"), s).unwrap(), vec![a]);
@@ -663,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn match_filter_applies_on_the_literal_fast_path() {
+    fn match_filter_applies_to_literal_patterns() {
         use std::sync::Arc;
         let r = reg();
         let s = r.create_space(None);
@@ -675,8 +723,8 @@ mod tests {
             attr.iter().next() != Some(actorspace_atoms::atom("hidden"))
         });
         r.set_match_filter(s, Some(filter), None).unwrap();
-        // Literal pattern (index path) must also respect the rule.
-        assert!(pattern("hidden/one").as_literal().is_some());
+        // A literal pattern must also respect the rule.
+        assert!(pattern("hidden/one").is_literal());
         assert_eq!(r.resolve(&pattern("hidden/one"), s).unwrap(), vec![]);
     }
 

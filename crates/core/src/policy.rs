@@ -159,12 +159,6 @@ pub struct ManagerPolicy {
     pub max_match_depth: usize,
     /// Deterministic RNG seed for selection (tests); `None` = OS entropy.
     pub selection_seed: Option<u64>,
-    /// Resolve *literal* patterns through the per-space inverted attribute
-    /// index instead of the NFA walk — O(1) in the number of visible
-    /// actors. Semantics are identical (attributes are always literal
-    /// paths, so the index is complete); the flag exists for the E12
-    /// ablation benchmark.
-    pub use_literal_index: bool,
     /// Cycle handling for `make_visible` on space members (§5.7).
     pub cycles: CyclePolicy,
 }
@@ -177,7 +171,6 @@ impl Default for ManagerPolicy {
             selection: SelectionPolicy::Random,
             max_match_depth: 64,
             selection_seed: None,
-            use_literal_index: true,
             cycles: CyclePolicy::Forbid,
         }
     }

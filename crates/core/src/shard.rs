@@ -546,11 +546,10 @@ impl<M: Clone> ShardedRegistry<M> {
     /// ancestors of `space`, §7.1) together with everything those spaces'
     /// resolutions can descend into. Computed from the meta tables alone.
     fn wake_lock_set(meta: &Meta<M>, space: SpaceId) -> BTreeSet<SpaceId> {
-        let mut set = BTreeSet::new();
-        for s in visibility::ancestors(&meta.containers, space) {
-            set.extend(visibility::reachable(&meta.edges, s));
-        }
-        set
+        let ancestors = visibility::ancestors(&meta.containers, space);
+        visibility::reachable(&meta.edges, ancestors)
+            .into_iter()
+            .collect()
     }
 
     /// `make_visible(a, attributes @ space, capability)` (§5.4). Locks the
@@ -574,7 +573,7 @@ impl<M: Clone> ShardedRegistry<M> {
         }
         let mut set = Self::wake_lock_set(&meta, space);
         if let MemberId::Space(child) = member {
-            set.extend(visibility::reachable(&meta.edges, child));
+            set.extend(visibility::reachable(&meta.edges, [child]));
         }
         let arcs = arcs_for(&meta, set);
         let mut guards = lock_all(&arcs);
@@ -810,7 +809,7 @@ impl<M: Clone> ShardedRegistry<M> {
             let mut single = single.0;
             return self.send_locked(&meta, &mut single, pattern, space, msg, sink, trace);
         }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
+        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
         let mut guards = lock_all(&arcs);
         if let Some(sh) = meta.shards.get(&space) {
             sh.m.sends.inc();
@@ -839,7 +838,7 @@ impl<M: Clone> ShardedRegistry<M> {
             let mut single = single.0;
             return self.broadcast_locked(&meta, &mut single, pattern, space, msg, sink, trace);
         }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
+        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
         let mut guards = lock_all(&arcs);
         if let Some(sh) = meta.shards.get(&space) {
             sh.m.broadcasts.inc();
@@ -880,7 +879,7 @@ impl<M: Clone> ShardedRegistry<M> {
                 ),
             };
         }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, route.space));
+        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [route.space]));
         let mut guards = lock_all(&arcs);
         match route.kind {
             DeliveryKind::Send => self.send_locked(
@@ -915,9 +914,9 @@ impl<M: Clone> ShardedRegistry<M> {
         Ok(n)
     }
 
-    /// Resolution with exact-prefix-index accounting: when the literal
-    /// fast path applies (E12), the scope shard's per-space hit/miss
-    /// counter is bumped by outcome.
+    /// Resolution with literal-pattern accounting: a literal pattern's
+    /// resolution bumps the scope shard's per-space `core.index.hits` or
+    /// `core.index.misses` counter by whether it found any actor.
     fn resolve_counted(
         &self,
         meta: &Meta<M>,
@@ -925,12 +924,8 @@ impl<M: Clone> ShardedRegistry<M> {
         pattern: &Pattern,
         scope: SpaceId,
     ) -> Result<Vec<ActorId>> {
-        let via_index = pattern.as_literal().is_some()
-            && guards
-                .get_space(scope)
-                .is_some_and(|sp| sp.policy().use_literal_index);
         let out = matching::resolve_actors(guards, pattern, scope)?;
-        if via_index {
+        if pattern.is_literal() {
             if let Some(sh) = meta.shards.get(&scope) {
                 if out.is_empty() {
                     sh.m.index_misses.inc();
@@ -1281,7 +1276,7 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<ActorId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
+        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
         let guards = lock_all(&arcs);
         self.resolve_counted(&meta, &guards, pattern, space)
     }
@@ -1291,7 +1286,7 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve_spaces(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<SpaceId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve_spaces");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
+        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
         let guards = lock_all(&arcs);
         matching::resolve_spaces_in(&guards, pattern, space)
     }
@@ -1457,18 +1452,10 @@ impl<M: Clone> ShardedRegistry<M> {
         let meta = self.meta.read();
         let sh = meta.shards.get(&id).ok_or(Error::NoSuchSpace(id))?;
         let sp = sh.space.lock();
-        let mut actor_members = 0usize;
-        let mut space_members = 0usize;
-        for m in sp.members().keys() {
-            match m {
-                MemberId::Actor(_) => actor_members += 1,
-                MemberId::Space(_) => space_members += 1,
-            }
-        }
         Ok(SpaceInfo {
             id,
-            actor_members,
-            space_members,
+            actor_members: sp.members().len() - sp.sub_spaces(),
+            space_members: sp.sub_spaces(),
             pending_messages: sp.pending().len(),
             persistent_broadcasts: sp.persistent().len(),
             guarded: !sp.guard().is_open(),

@@ -7,7 +7,7 @@
 //! policies, the recipient selector, suspended messages, and persistent
 //! broadcasts.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use actorspace_atoms::Path;
@@ -102,13 +102,14 @@ pub struct Space<M> {
     /// paper's mailing-list metaphor: "Each list may contain a set of
     /// attributes associated with the individual – as viewed by that list."
     members: HashMap<MemberId, Vec<Path>>,
-    /// Inverted index: full attribute path → members registered under it.
-    /// Attributes are always literal paths, so this is complete; it powers
-    /// the fast path for literal destination patterns (EXPERIMENTS.md E12).
-    index: HashMap<Path, Vec<MemberId>>,
-    /// The subset of members that are spaces — resolution recursion only
-    /// needs these, so it should not scan every actor to find them.
-    space_members: HashSet<SpaceId>,
+    /// The attribute index: attribute path → members registered under it.
+    /// Path order makes every attribute with a given prefix one contiguous
+    /// range, so resolution seeks on a pattern's literal run
+    /// (EXPERIMENTS.md E12).
+    index: BTreeMap<Path, Vec<MemberId>>,
+    /// How many members are spaces (resolution skips its sub-space
+    /// lookups when there are none).
+    sub_spaces: usize,
     policy: ManagerPolicy,
     selector: Selector,
     manager: Box<dyn Manager>,
@@ -125,8 +126,8 @@ impl<M> Space<M> {
             id,
             guard,
             members: HashMap::new(),
-            index: HashMap::new(),
-            space_members: HashSet::new(),
+            index: BTreeMap::new(),
+            sub_spaces: 0,
             policy,
             selector,
             manager: Box::new(DefaultManager),
@@ -191,11 +192,11 @@ impl<M> Space<M> {
     /// Registers (or extends) a member's attributes. Returns true if this
     /// member was not previously visible here.
     pub fn add_member(&mut self, member: MemberId, attrs: Vec<Path>) -> bool {
-        if let MemberId::Space(s) = member {
-            self.space_members.insert(s);
-        }
         let entry = self.members.entry(member);
         let fresh = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
+        if fresh && matches!(member, MemberId::Space(_)) {
+            self.sub_spaces += 1;
+        }
         let list = entry.or_default();
         for a in attrs {
             if !list.contains(&a) {
@@ -208,11 +209,11 @@ impl<M> Space<M> {
 
     /// Removes a member entirely. Returns true if it was present.
     pub fn remove_member(&mut self, member: MemberId) -> bool {
-        if let MemberId::Space(s) = member {
-            self.space_members.remove(&s);
-        }
         match self.members.remove(&member) {
             Some(attrs) => {
+                if matches!(member, MemberId::Space(_)) {
+                    self.sub_spaces -= 1;
+                }
                 for a in &attrs {
                     self.unindex(a, member);
                 }
@@ -254,15 +255,15 @@ impl<M> Space<M> {
         }
     }
 
-    /// Members registered under exactly this attribute path (the inverted
-    /// index behind literal-pattern resolution).
-    pub fn members_with_attr(&self, attr: &Path) -> &[MemberId] {
-        self.index.get(attr).map(Vec::as_slice).unwrap_or(&[])
+    /// The attribute index, in path order: the same `(attribute, member)`
+    /// pairs as [`members`](Space::members), keyed by attribute.
+    pub(crate) fn index(&self) -> &BTreeMap<Path, Vec<MemberId>> {
+        &self.index
     }
 
-    /// The visible sub-spaces (resolution recurses only into these).
-    pub fn space_members(&self) -> impl Iterator<Item = SpaceId> + '_ {
-        self.space_members.iter().copied()
+    /// How many visible members are spaces.
+    pub(crate) fn sub_spaces(&self) -> usize {
+        self.sub_spaces
     }
 
     /// Is the member visible here?
@@ -335,6 +336,7 @@ mod tests {
         assert!(s.add_member(m, vec![path("a")]));
         assert!(!s.add_member(m, vec![path("b"), path("a")]));
         assert_eq!(s.members()[&m], vec![path("a"), path("b")]);
+        assert_eq!(s.index()[&path("a")], vec![m]);
     }
 
     #[test]
@@ -345,6 +347,14 @@ mod tests {
         assert!(s.remove_member(m));
         assert!(!s.remove_member(m));
         assert!(!s.contains(m));
+        assert!(s.index().is_empty());
+        let sub = MemberId::Space(SpaceId(2));
+        s.add_member(sub, vec![path("a")]);
+        s.add_member(sub, vec![path("b")]);
+        assert_eq!(s.sub_spaces(), 1);
+        assert!(s.remove_member(sub));
+        assert!(!s.remove_member(sub));
+        assert_eq!(s.sub_spaces(), 0);
     }
 
     #[test]
@@ -354,6 +364,7 @@ mod tests {
         s.add_member(m, vec![path("a"), path("b")]);
         assert!(s.set_attributes(m, vec![path("c")]));
         assert_eq!(s.members()[&m], vec![path("c")]);
+        assert_eq!(s.index().keys().collect::<Vec<_>>(), vec![&path("c")]);
         assert!(!s.set_attributes(MemberId::Actor(ActorId(9)), vec![path("x")]));
     }
 

@@ -43,13 +43,16 @@ pub fn ancestors(
 }
 
 /// Forward reachability over the edge map: every space a pattern
-/// resolution scoped to `from` can descend into, including `from` itself.
-/// The coordinator keeps the edge map in its meta table so lock sets can
-/// be computed without touching any shard.
-pub fn reachable(edges: &HashMap<SpaceId, HashSet<SpaceId>>, from: SpaceId) -> HashSet<SpaceId> {
-    let mut out = HashSet::new();
-    out.insert(from);
-    let mut stack = vec![from];
+/// resolution scoped to any of `from` can descend into, including `from`
+/// themselves — one walk however many sources. The coordinator keeps the
+/// edge map in its meta table so lock sets can be computed without
+/// touching any shard.
+pub fn reachable(
+    edges: &HashMap<SpaceId, HashSet<SpaceId>>,
+    from: impl IntoIterator<Item = SpaceId>,
+) -> HashSet<SpaceId> {
+    let mut out: HashSet<SpaceId> = from.into_iter().collect();
+    let mut stack: Vec<SpaceId> = out.iter().copied().collect();
     while let Some(s) = stack.pop() {
         if let Some(subs) = edges.get(&s) {
             for &sub in subs {
@@ -69,7 +72,7 @@ pub fn would_cycle(
     child: SpaceId,
     parent: SpaceId,
 ) -> bool {
-    child == parent || reachable(edges, child).contains(&parent)
+    child == parent || reachable(edges, [child]).contains(&parent)
 }
 
 /// Is the visibility relation over `nodes` acyclic (Kahn's algorithm)?
@@ -175,10 +178,14 @@ mod tests {
         let nodes: HashSet<SpaceId> = [SpaceId(0), SpaceId(1), SpaceId(2)].into();
 
         assert_eq!(
-            reachable(&edges, SpaceId(2)),
+            reachable(&edges, [SpaceId(2)]),
             [SpaceId(0), SpaceId(1), SpaceId(2)].into()
         );
-        assert_eq!(reachable(&edges, SpaceId(0)), [SpaceId(0)].into());
+        assert_eq!(reachable(&edges, [SpaceId(0)]), [SpaceId(0)].into());
+        assert_eq!(
+            reachable(&edges, [SpaceId(1), SpaceId(0)]),
+            [SpaceId(0), SpaceId(1)].into()
+        );
         assert!(would_cycle(&edges, SpaceId(0), SpaceId(0)));
         assert!(would_cycle(&edges, SpaceId(2), SpaceId(0)));
         assert!(!would_cycle(&edges, SpaceId(0), SpaceId(2)));

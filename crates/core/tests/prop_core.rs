@@ -1,6 +1,6 @@
 //! Property tests for the coordinator: the visibility DAG invariant under
-//! random operation sequences, matching against a naive oracle, persistent
-//! exactly-once delivery, and GC safety.
+//! random operation sequences, matching against naive oracles (fixed and
+//! random pattern shapes), persistent exactly-once delivery, and GC safety.
 
 use std::collections::{HashMap, HashSet};
 
@@ -56,19 +56,19 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..6, 0usize..5, 0usize..4).prop_map(|(actor, space, attr)| Op::MakeActorVisible {
+        (0usize..6, 0usize..5, 0usize..6).prop_map(|(actor, space, attr)| Op::MakeActorVisible {
             actor,
             space,
             attr
         }),
         (0usize..6, 0usize..5).prop_map(|(actor, space)| Op::MakeActorInvisible { actor, space }),
-        (0usize..5, 0usize..5, 0usize..4).prop_map(|(child, parent, attr)| Op::MakeSpaceVisible {
+        (0usize..5, 0usize..5, 0usize..6).prop_map(|(child, parent, attr)| Op::MakeSpaceVisible {
             child,
             parent,
             attr
         }),
         (0usize..5, 0usize..5).prop_map(|(child, parent)| Op::MakeSpaceInvisible { child, parent }),
-        (0usize..6, 0usize..5, 0usize..4).prop_map(|(actor, space, attr)| Op::ChangeAttr {
+        (0usize..6, 0usize..5, 0usize..6).prop_map(|(actor, space, attr)| Op::ChangeAttr {
             actor,
             space,
             attr
@@ -77,13 +77,48 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Attribute lists shared by actors and spaces. The empty attribute makes
+/// a sub-space transparent; `srv` on a space is a proper prefix of the
+/// actor attribute `srv/fib`.
 fn attrs(i: usize) -> Vec<Path> {
     match i {
         0 => vec![path("w")],
         1 => vec![path("srv/fib")],
         2 => vec![path("srv/fact"), path("w")],
-        _ => vec![path("pool/deep/worker")],
+        3 => vec![path("pool/deep/worker")],
+        4 => vec![Path::empty()],
+        _ => vec![path("srv")],
     }
+}
+
+/// The atoms `attrs` uses, plus one no attribute uses.
+const ATOMS: [&str; 8] = [
+    "w", "srv", "fib", "fact", "pool", "deep", "worker", "absent",
+];
+/// Attribute paths of the universe, joined up to two deep for literals.
+const PATHS: [&str; 6] = ["w", "srv", "srv/fib", "srv/fact", "pool/deep/worker", "fib"];
+
+/// A random pattern over the universe: a literal, a miss, `a/*`, `a/**`,
+/// `**/b`, an alternation, a class, a negated class, or the empty pattern.
+fn arb_pattern() -> impl Strategy<Value = Pattern> {
+    (0usize..9, 0usize..6, 0usize..8, any::<bool>()).prop_map(|(shape, p, a, two)| {
+        let (lit, other) = (PATHS[p], PATHS[(p + a) % PATHS.len()]);
+        let (x, y) = (ATOMS[a], ATOMS[(a + p + 1) % ATOMS.len()]);
+        let scope = if two { "srv/" } else { "" };
+        let text = match shape {
+            0 if two => format!("{lit}/{other}"),
+            0 => lit.to_owned(),
+            1 => format!("{lit}/absent"),
+            2 => format!("{lit}/*"),
+            3 => format!("{lit}/**"),
+            4 => format!("**/{x}"),
+            5 => format!("{{{lit}, {other}}}"),
+            6 => format!("{scope}[{x} {y}]"),
+            7 => format!("{scope}[^{x} {y}]"),
+            _ => String::new(),
+        };
+        pattern(&text)
+    })
 }
 
 /// Applies ops, ignoring expected errors (cycles, missing targets), and
@@ -144,15 +179,16 @@ fn run_ops(ops: &[Op]) -> (Reg, Vec<SpaceId>, Vec<ActorId>) {
     (r, spaces, actors)
 }
 
-/// Naive resolve oracle: enumerate every joined attribute path by explicit
-/// recursion and match each with the Pattern API directly.
-fn oracle_resolve(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashSet<ActorId> {
+/// Naive resolve oracle: enumerate every member with its joined attribute
+/// path by explicit recursion (up to `depth` levels of sub-spaces) and
+/// match each path with the Pattern API directly.
+fn oracle_members(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashSet<MemberId> {
     fn joined_paths(
         r: &Reg,
         space: SpaceId,
         prefix: &Path,
         depth: usize,
-        out: &mut Vec<(ActorId, Path)>,
+        out: &mut Vec<(MemberId, Path)>,
     ) {
         let Ok(members) = r.with_space(space, |sp| sp.members().clone()) else {
             return;
@@ -160,14 +196,12 @@ fn oracle_resolve(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashS
         for (member, attrs) in &members {
             for a in attrs {
                 let full = prefix.join(a);
-                match *member {
-                    MemberId::Actor(id) => out.push((id, full)),
-                    MemberId::Space(sub) => {
-                        if depth > 0 {
-                            joined_paths(r, sub, &full, depth - 1, out);
-                        }
+                if let MemberId::Space(sub) = *member {
+                    if depth > 0 {
+                        joined_paths(r, sub, &full, depth - 1, out);
                     }
                 }
+                out.push((*member, full));
             }
         }
     }
@@ -175,7 +209,18 @@ fn oracle_resolve(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashS
     joined_paths(r, space, &Path::empty(), depth, &mut all);
     all.into_iter()
         .filter(|(_, p)| pat.matches(p))
-        .map(|(id, _)| id)
+        .map(|(m, _)| m)
+        .collect()
+}
+
+/// The actors [`oracle_members`] finds: what `resolve` must return.
+fn oracle_resolve(r: &Reg, pat: &Pattern, space: SpaceId, depth: usize) -> HashSet<ActorId> {
+    oracle_members(r, pat, space, depth)
+        .into_iter()
+        .filter_map(|m| match m {
+            MemberId::Actor(a) => Some(a),
+            MemberId::Space(_) => None,
+        })
         .collect()
 }
 
@@ -283,28 +328,34 @@ proptest! {
         }
     }
 
-    /// Literal-pattern resolution via the inverted index agrees with the
-    /// NFA walk after any operation sequence (the E12 fast path changes
-    /// performance, never semantics).
+    /// Resolution through the ordered attribute index agrees with the
+    /// enumerate-all-paths oracles, for actors and spaces alike, on random
+    /// pattern shapes after any operation sequence: literal runs that
+    /// cross sub-space boundaries, misses, prefix wildcards, unanchored
+    /// `**`, alternation, classes and the empty pattern.
     #[test]
-    fn literal_index_matches_nfa_walk(ops in proptest::collection::vec(arb_op(), 0..60)) {
+    fn resolve_agrees_with_oracles_on_random_patterns(
+        nest in proptest::collection::vec((0usize..5, 0usize..5, 4usize..6), 1..6),
+        ops in proptest::collection::vec(arb_op(), 0..60),
+        pats in proptest::collection::vec(arb_pattern(), 1..8),
+    ) {
+        // Nest spaces under the empty attribute and under `srv` first, so
+        // literal runs often continue inside a sub-space.
+        let nested = nest.into_iter().map(|(child, parent, attr)| Op::MakeSpaceVisible {
+            child,
+            parent,
+            attr,
+        });
+        let ops: Vec<Op> = nested.chain(ops).collect();
         let (r, spaces, _) = run_ops(&ops);
-        // Indexed registry is `r` (default policy has the index on);
-        // compare against a policy with the index disabled by rebuilding
-        // the same state. Cheaper: compare fast path vs oracle directly.
-        let literals = [
-            pattern("w"),
-            pattern("srv/fib"),
-            pattern("pool/deep/worker"),
-            pattern("absent/path"),
-        ];
         for &s in &spaces {
             if !r.space_exists(s) { continue; }
-            for pat in &literals {
-                let got: HashSet<ActorId> =
-                    r.resolve(pat, s).unwrap().into_iter().collect();
-                let want = oracle_resolve(&r, pat, s, 64);
-                prop_assert_eq!(&got, &want, "literal {} in {:?}", pat, s);
+            for pat in &pats {
+                let mut got: HashSet<MemberId> =
+                    r.resolve(pat, s).unwrap().into_iter().map(MemberId::Actor).collect();
+                got.extend(r.resolve_spaces(pat, s).unwrap().into_iter().map(MemberId::Space));
+                let want = oracle_members(&r, pat, s, 64);
+                prop_assert_eq!(&got, &want, "pattern {:?} in {:?}", pat, s);
             }
         }
     }

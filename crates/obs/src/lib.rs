@@ -54,11 +54,11 @@ pub mod names {
     pub const CORE_SPACE_SENDS: &str = "core.space.sends";
     /// Broadcasts resolved against a space, labeled per space (counter).
     pub const CORE_SPACE_BROADCASTS: &str = "core.space.broadcasts";
-    /// Literal-pattern resolutions answered with a non-empty result via
-    /// the exact-prefix index, labeled per scope space (counter; E12).
+    /// Literal-pattern resolutions that found at least one actor, labeled
+    /// per scope space (counter; E12).
     pub const CORE_INDEX_HITS: &str = "core.index.hits";
-    /// Literal-pattern resolutions that consulted the exact-prefix index
-    /// and found nothing, labeled per scope space (counter; E12).
+    /// Literal-pattern resolutions that found no actor, labeled per scope
+    /// space (counter; E12).
     pub const CORE_INDEX_MISSES: &str = "core.index.misses";
     /// Messages dropped with no recipient (counter; cumulative across
     /// node restarts).

@@ -96,10 +96,11 @@ impl Ast {
         }
     }
 
-    /// If this pattern is a *literal* — a plain sequence of atoms with no
-    /// wildcards, classes, alternation, or repetition — returns the exact
-    /// path it matches. Literal patterns admit index-based resolution.
-    pub fn as_literal(&self) -> Option<Path> {
+    /// The pattern's *literal run* — the leading atoms every matching path
+    /// starts with — and whether the run is the whole pattern (a literal:
+    /// no wildcards, classes, alternation, or repetition). Ordered
+    /// attribute indexes seek on the run.
+    pub fn literal_run(&self) -> (Vec<Atom>, bool) {
         fn collect(ast: &Ast, out: &mut Vec<Atom>) -> bool {
             match ast {
                 Ast::Empty => true,
@@ -112,7 +113,8 @@ impl Ast {
             }
         }
         let mut atoms = Vec::new();
-        collect(self, &mut atoms).then(|| Path::from_atoms(atoms))
+        let whole = collect(self, &mut atoms);
+        (atoms, whole)
     }
 
     /// Number of AST nodes — a size measure used by benches.
@@ -269,15 +271,35 @@ mod tests {
     }
 
     #[test]
-    fn as_literal_round_trips_literal_paths() {
+    fn a_literal_is_one_whole_run() {
         for p in ["a", "a/b/c", ""] {
             let ast = Ast::literal(&path(p));
-            assert_eq!(ast.as_literal(), Some(path(p)), "{p:?}");
+            assert_eq!(ast.literal_run(), (path(p).atoms().to_vec(), true), "{p:?}");
         }
     }
 
     #[test]
-    fn as_literal_rejects_non_literals() {
+    fn literal_run_stops_at_the_first_non_literal() {
+        for (text, run, whole) in [
+            ("a/b", "a/b", true),
+            ("a/b/*", "a/b", false),
+            ("a/**/c", "a", false),
+            ("**/b", "", false),
+            ("{a, b}/c", "", false),
+            ("a/[b c]/d", "a", false),
+            ("", "", true),
+        ] {
+            let ast = crate::parse::parse(text).unwrap();
+            assert_eq!(
+                ast.literal_run(),
+                (path(run).atoms().to_vec(), whole),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_literals_are_not_whole_runs() {
         for (ast, name) in [
             (Ast::AnyAtom, "star"),
             (Ast::Star(Box::new(Ast::AnyAtom)), "double star"),
@@ -292,7 +314,7 @@ mod tests {
                 "seq with star",
             ),
         ] {
-            assert_eq!(ast.as_literal(), None, "{name}");
+            assert!(!ast.literal_run().1, "{name}");
         }
     }
 }

@@ -56,7 +56,7 @@ pub mod parse;
 use std::fmt;
 use std::str::FromStr;
 
-use actorspace_atoms::Path;
+use actorspace_atoms::{Atom, Path};
 
 pub use ast::Ast;
 pub use matcher::StateSet;
@@ -66,12 +66,15 @@ pub use parse::ParseError;
 /// A compiled destination pattern: parse once, match many times.
 ///
 /// `Pattern` owns both the AST (for display, analysis, and lattice
-/// operations) and the compiled NFA (for matching).
+/// operations) and the compiled NFA (for matching), plus the literal run
+/// read once from the AST (for seeking ordered attribute indexes).
 #[derive(Clone)]
 pub struct Pattern {
     ast: Ast,
     nfa: Nfa,
     text: String,
+    run: Box<[Atom]>,
+    literal: bool,
 }
 
 impl Pattern {
@@ -89,7 +92,14 @@ impl Pattern {
 
     fn from_ast_with_text(ast: Ast, text: String) -> Pattern {
         let nfa = nfa::compile(&ast);
-        Pattern { ast, nfa, text }
+        let (run, literal) = ast.literal_run();
+        Pattern {
+            ast,
+            nfa,
+            text,
+            run: run.into_boxed_slice(),
+            literal,
+        }
     }
 
     /// The pattern matching *any* attribute — the paper's `*` in
@@ -125,11 +135,16 @@ impl Pattern {
         &self.text
     }
 
-    /// If the pattern matches exactly one literal path (no wildcards,
-    /// classes, alternation, or repetition), returns it. The matching
-    /// engine uses this for index-based fast paths.
-    pub fn as_literal(&self) -> Option<Path> {
-        self.ast.as_literal()
+    /// The leading literal atoms every matching path starts with (see
+    /// [`Ast::literal_run`]).
+    pub fn literal_run(&self) -> &[Atom] {
+        &self.run
+    }
+
+    /// True if the pattern matches exactly one literal path (no wildcards,
+    /// classes, alternation, or repetition): its literal run.
+    pub fn is_literal(&self) -> bool {
+        self.literal
     }
 
     /// True if no path whatsoever can match this pattern.
