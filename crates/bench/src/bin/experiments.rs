@@ -823,6 +823,43 @@ fn e11_repository() {
 
 // ---------------------------------------------------------------- E12
 
+/// A registry whose one space holds `n` actors, actor `i` visible under
+/// `attr(i)`.
+fn e12_registry(n: usize, attr: impl Fn(usize) -> String) -> (ShardedRegistry<u64>, SpaceId) {
+    let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
+    let space = reg.create_space(None);
+    let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+    for i in 0..n {
+        let a = reg.create_actor(space, None).unwrap();
+        reg.make_visible(a.into(), vec![path(&attr(i))], space, None, &mut sink)
+            .unwrap();
+    }
+    (reg, space)
+}
+
+/// The per-query time of `reps` resolves of `pat`, each checked to find
+/// `answer` actors.
+fn e12_time(
+    reg: &ShardedRegistry<u64>,
+    space: SpaceId,
+    pat: &Pattern,
+    answer: usize,
+    reps: usize,
+) -> Duration {
+    let (_, d) = time_it(|| {
+        for _ in 0..reps {
+            assert_eq!(reg.resolve(pat, space).unwrap().len(), answer);
+        }
+    });
+    d / reps as u32
+}
+
+/// The median of `samples`.
+fn median<T: PartialOrd + Copy>(mut samples: Vec<T>) -> T {
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
+    samples[samples.len() / 2]
+}
+
 fn e12_attr_index() {
     // One registry per size with a fixed 10 instances per class
     // (`srv/class-{i/10}/inst-{i}`), so every anchored query has the same
@@ -830,7 +867,9 @@ fn e12_attr_index() {
     //
     // E12_QUICK=1 runs 10^3 and 10^4 only, for CI. Either way the run
     // exits nonzero when the exact-hit or prefix cell at a larger size is
-    // more than 4x its 10^3 cell: a linear scan reads about 10x per decade.
+    // more than 4x its 10^3 cell (a linear scan reads about 10x per
+    // decade), or when a wildcard step costs too much per key (the
+    // cluster_rpc-shape table below).
     let quick = std::env::var("E12_QUICK").is_ok();
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
@@ -863,31 +902,16 @@ fn e12_attr_index() {
     };
     let mut medians: Vec<Vec<Duration>> = Vec::new();
     for &n in sizes {
-        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
-        let space = reg.create_space(None);
-        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-        for i in 0..n {
-            let a = reg.create_actor(space, None).unwrap();
-            let attr = path(&format!("srv/class-{}/inst-{i}", i / 10));
-            reg.make_visible(a.into(), vec![attr], space, None, &mut sink)
-                .unwrap();
-        }
+        let (reg, space) = e12_registry(n, |i| format!("srv/class-{}/inst-{i}", i / 10));
         let row: Vec<Duration> = queries
             .iter()
             .map(|(pat, answer, scans)| {
                 let reps = if *scans { (200_000 / n).max(2) } else { 1_000 };
-                let mut rounds: Vec<Duration> = (0..15)
-                    .map(|_| {
-                        let (_, d) = time_it(|| {
-                            for _ in 0..reps {
-                                assert_eq!(reg.resolve(pat, space).unwrap().len(), *answer);
-                            }
-                        });
-                        d / reps as u32
-                    })
-                    .collect();
-                rounds.sort_unstable();
-                rounds[rounds.len() / 2]
+                median(
+                    (0..15)
+                        .map(|_| e12_time(&reg, space, pat, *answer, reps))
+                        .collect(),
+                )
             })
             .collect();
         let mut cells = vec![n.to_string()];
@@ -910,10 +934,73 @@ fn e12_attr_index() {
             }
         }
     }
+
+    // The cluster_rpc shape: `svc/*` over one-atom replica keys
+    // (`svc/r{i}`), §5.3's load-balancing send over a process pool. The
+    // scan visits every key, so its cost per key is the NFA step plus the
+    // index walk. The gate holds that per-key cost against one exact-hit
+    // resolve in the same registry and run, so the host's speed cancels;
+    // it reads the 640-replica row, where the resolve's fixed cost is
+    // spread thinnest.
+    let mut rt = Table::new(
+        "E12: the cluster_rpc shape, svc/* over one-atom replica keys (per query, median of 15 rounds)",
+        &[
+            "replicas",
+            "exact hit svc/r17",
+            "svc/*",
+            "svc/* per key",
+            "per key / exact hit",
+        ],
+    );
+    let mut per_key_ratio = 0.0f64;
+    for n in [64usize, 640] {
+        let (reg, space) = e12_registry(n, |i| format!("svc/r{i}"));
+        let (hit_pat, scan_pat) = (pattern("svc/r17"), pattern("svc/*"));
+        // Hit and scan alternate within each round, and the gate takes the
+        // median of the per-round ratios, so a slow spell of the host
+        // slows both sides of a ratio alike.
+        let rounds: Vec<(Duration, Duration)> = (0..15)
+            .map(|_| {
+                let hit = e12_time(&reg, space, &hit_pat, 1, 4_000);
+                let scan = e12_time(&reg, space, &scan_pat, n, 128_000 / n);
+                (hit, scan / n as u32)
+            })
+            .collect();
+        let hit = median(rounds.iter().map(|r| r.0).collect());
+        let per_key = median(rounds.iter().map(|r| r.1).collect());
+        let ratio = median(
+            rounds
+                .iter()
+                .map(|(hit, key)| key.as_secs_f64() / hit.as_secs_f64())
+                .collect(),
+        );
+        per_key_ratio = ratio;
+        rt.row(&[
+            n.to_string(),
+            fmt(hit),
+            fmt(per_key * n as u32),
+            fmt(per_key),
+            format!("{ratio:.3}"),
+        ]);
+    }
+    rt.print();
+    println!("json: {}", rt.to_json());
+    println!("svc/* per-key cost / exact hit: {per_key_ratio:.3} (limit {E12_PER_KEY_LIMIT})");
+    if per_key_ratio > E12_PER_KEY_LIMIT {
+        eprintln!(
+            "E12 per-key gate: an svc/* key costs {per_key_ratio:.3}x an exact-hit resolve (limit {E12_PER_KEY_LIMIT}x)"
+        );
+        flat = false;
+    }
     if !flat {
         std::process::exit(1);
     }
 }
+
+/// The most one `svc/*` key may cost, as a fraction of an exact-hit
+/// resolve in the same run (see EXPERIMENTS.md E12 for the runs it was
+/// picked from).
+const E12_PER_KEY_LIMIT: f64 = 0.2;
 
 // ---------------------------------------------------------------- E13
 

@@ -148,10 +148,13 @@ impl Table {
     }
 }
 
-/// Formats a duration compactly (µs / ms / s).
+/// Formats a duration compactly (µs / ms / s). Below a microsecond it
+/// keeps two decimals, so a sub-µs cell never reads `0µs`.
 pub fn fmt_dur(d: Duration) -> String {
     let us = d.as_micros();
-    if us < 1_000 {
+    if us < 1 {
+        format!("{:.2}µs", d.as_nanos() as f64 / 1_000.0)
+    } else if us < 1_000 {
         format!("{us}µs")
     } else if us < 1_000_000 {
         format!("{:.2}ms", us as f64 / 1_000.0)
@@ -202,6 +205,8 @@ mod tests {
     #[test]
     fn duration_formatting() {
         assert_eq!(fmt_dur(Duration::from_micros(5)), "5µs");
+        assert_eq!(fmt_dur(Duration::from_nanos(590)), "0.59µs");
+        assert_eq!(fmt_dur(Duration::from_nanos(999)), "1.00µs");
         assert_eq!(fmt_dur(Duration::from_micros(2_500)), "2.50ms");
         assert_eq!(fmt_dur(Duration::from_secs(3)), "3.00s");
     }

@@ -20,6 +20,13 @@
 //! post-prefix state sets, and dead state sets prune whole subtrees. The
 //! visibility relation is a DAG (§5.7), so the walk terminates; a depth
 //! limit additionally bounds work.
+//!
+//! A pattern's state set is stored inline (up to
+//! [`INLINE_STATES`](actorspace_pattern::matcher::INLINE_STATES) NFA
+//! states), so forking it per key and stepping it over the key's atoms
+//! allocates nothing; matched members are pushed to one `Vec`, sorted and
+//! deduplicated once. A resolve therefore allocates a fixed number of times
+//! however many keys it visits, apart from the result's growth.
 
 use std::collections::HashSet;
 use std::ops::Bound;
@@ -47,15 +54,10 @@ pub(crate) fn resolve_actors<M>(
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<ActorId>> {
-    let mut out = HashSet::new();
-    resolve(store, pattern, space, |m| {
-        if let MemberId::Actor(a) = m {
-            out.insert(a);
-        }
-    })?;
-    let mut v: Vec<ActorId> = out.into_iter().collect();
-    v.sort_unstable();
-    Ok(v)
+    collect(store, pattern, space, |m| match m {
+        MemberId::Actor(a) => Some(a),
+        MemberId::Space(_) => None,
+    })
 }
 
 /// Resolves `pattern` to matching *spaces* — §5.3: "the actorSpace
@@ -66,15 +68,25 @@ pub(crate) fn resolve_spaces_in<M>(
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<SpaceId>> {
-    let mut out = HashSet::new();
-    resolve(store, pattern, space, |m| {
-        if let MemberId::Space(s) = m {
-            out.insert(s);
-        }
-    })?;
-    let mut v: Vec<SpaceId> = out.into_iter().collect();
-    v.sort_unstable();
-    Ok(v)
+    collect(store, pattern, space, |m| match m {
+        MemberId::Space(s) => Some(s),
+        MemberId::Actor(_) => None,
+    })
+}
+
+/// The sorted, deduplicated ids `pick` keeps from the members `pattern`
+/// matches: one `Vec`, sorted once, rather than a hash set.
+fn collect<M, T: Ord>(
+    store: &impl SpaceStore<M>,
+    pattern: &Pattern,
+    space: SpaceId,
+    pick: impl Fn(MemberId) -> Option<T>,
+) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    resolve(store, pattern, space, |m| out.extend(pick(m)))?;
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
 }
 
 /// Reports every member `pattern` matches from `space` (actors admitted by

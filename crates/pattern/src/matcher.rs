@@ -7,40 +7,73 @@ use std::collections::VecDeque;
 
 use actorspace_atoms::Atom;
 
-use crate::nfa::{Nfa, StateId, Trans};
+use crate::nfa::{Nfa, State, StateId, Trans};
+
+/// The most NFA states a [`StateSet`] holds without a heap allocation.
+/// Every Thompson NFA of a pattern with up to 64 AST nodes fits.
+pub const INLINE_STATES: usize = 64 * INLINE_WORDS;
+
+const INLINE_WORDS: usize = 2;
 
 /// A set of NFA states, as a bitset. The working representation of an
-/// in-progress match; cheap to clone so the matching engine can fork it when
-/// descending into nested actorSpaces. `Hash` supports visited-state
-/// deduplication when walking (possibly cyclic) space graphs.
+/// in-progress match. For an NFA of up to [`INLINE_STATES`] states the bit
+/// words are stored inline, so cloning, advancing and epsilon-closing a set
+/// allocate nothing and the matching engine can fork it freely when
+/// descending into nested actorSpaces; larger NFAs (mostly the lattice's
+/// determinized and complemented automata) keep them on the heap. `Hash`
+/// supports visited-state deduplication when walking (possibly cyclic)
+/// space graphs.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct StateSet {
-    bits: Box<[u64]>,
+    words: Words,
+}
+
+/// The storage form is fixed by the NFA's size, so every set of one NFA has
+/// the same form and equal sets have equal representations (unused inline
+/// bits stay zero).
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
 }
 
 impl StateSet {
     fn empty(n_states: usize) -> StateSet {
-        StateSet {
-            bits: vec![0u64; n_states.div_ceil(64)].into_boxed_slice(),
+        let n = n_states.div_ceil(64);
+        let words = if n <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n].into_boxed_slice())
+        };
+        StateSet { words }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
         }
     }
 
     fn insert(&mut self, s: StateId) -> bool {
-        let (w, b) = (s as usize / 64, s as usize % 64);
-        let had = self.bits[w] & (1 << b) != 0;
-        self.bits[w] |= 1 << b;
-        !had
+        set_bit(self.words_mut(), s)
     }
 
     fn contains(&self, s: StateId) -> bool {
-        let (w, b) = (s as usize / 64, s as usize % 64);
-        self.bits[w] & (1 << b) != 0
+        self.words()[s as usize / 64] & (1 << (s % 64)) != 0
     }
 
     /// True if no states are live — the match can never succeed, so tree
     /// walks prune here.
     pub fn is_dead(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// True if the accept state is live: the atoms consumed so far form a
@@ -49,41 +82,54 @@ impl StateSet {
         self.contains(nfa.accept())
     }
 
-    /// Iterates over live state ids.
-    fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter_map(move |b| {
-                if word & (1u64 << b) != 0 {
-                    Some((w * 64 + b) as StateId)
-                } else {
-                    None
-                }
-            })
-        })
-    }
-
     /// Consumes one atom, returning the successor state set
     /// (epsilon-closed).
     pub fn advance(&self, nfa: &Nfa, atom: Atom) -> StateSet {
         let mut next = StateSet::empty(nfa.len());
-        for s in self.iter() {
-            for (label, to) in &nfa.states()[s as usize].trans {
-                if label.accepts(atom) {
-                    next.insert(*to);
+        let mut pending = StateSet::empty(nfa.len());
+        let (set, work) = (next.words_mut(), pending.words_mut());
+        let states = nfa.states();
+        for (w, &word) in self.words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (label, to) in &states[s].trans {
+                    if label.accepts(atom) && set_bit(set, *to) {
+                        set_bit(work, *to);
+                    }
                 }
             }
         }
-        eps_close(nfa, &mut next);
+        eps_close(states, set, work);
         next
     }
 }
 
-fn eps_close(nfa: &Nfa, set: &mut StateSet) {
-    let mut stack: Vec<StateId> = set.iter().collect();
-    while let Some(s) = stack.pop() {
-        for &to in &nfa.states()[s as usize].eps {
-            if set.insert(to) {
-                stack.push(to);
+/// Sets bit `s`, returning true if it was clear.
+fn set_bit(words: &mut [u64], s: StateId) -> bool {
+    let (w, bit) = (s as usize / 64, 1u64 << (s % 64));
+    let clear = words[w] & bit == 0;
+    words[w] |= bit;
+    clear
+}
+
+/// Adds to `set` every state reachable by epsilon moves from the states in
+/// `pending`, draining `pending` as the worklist. Both are bit words of the
+/// same form, so closing an inline set allocates nothing.
+fn eps_close(states: &[State], set: &mut [u64], pending: &mut [u64]) {
+    let mut w = 0;
+    while let Some(&word) = pending.get(w) {
+        if word == 0 {
+            w += 1;
+            continue;
+        }
+        pending[w] = word & (word - 1);
+        let s = w * 64 + word.trailing_zeros() as usize;
+        for &to in &states[s].eps {
+            if set_bit(set, to) {
+                set_bit(pending, to);
+                w = w.min(to as usize / 64);
             }
         }
     }
@@ -92,8 +138,10 @@ fn eps_close(nfa: &Nfa, set: &mut StateSet) {
 /// The epsilon-closed start set of `nfa`.
 pub fn start(nfa: &Nfa) -> StateSet {
     let mut set = StateSet::empty(nfa.len());
+    let mut pending = StateSet::empty(nfa.len());
     set.insert(nfa.start());
-    eps_close(nfa, &mut set);
+    pending.insert(nfa.start());
+    eps_close(nfa.states(), set.words_mut(), pending.words_mut());
     set
 }
 

@@ -125,6 +125,41 @@ fn arb_path() -> impl Strategy<Value = Vec<Atom>> {
     proptest::collection::vec(arb_atom(), 0..6)
 }
 
+/// A literal run of `matcher::INLINE_STATES` atoms: ahead of any pattern it
+/// takes the Thompson NFA past the inline state-set form, and the lattice's
+/// determinized and complemented automata too (one DFA state per prefix
+/// atom, plus the accept state).
+fn long_prefix() -> Vec<Atom> {
+    (0..matcher::INLINE_STATES)
+        .map(|i| alphabet()[i % 4])
+        .collect()
+}
+
+/// `ast` behind [`long_prefix`], and a path that is the prefix (whole, or
+/// missing its last atom when `short`) followed by `p`. When `looped`, the
+/// pattern is `(prefix/ast)*/pd` and the path runs prefix-and-`p` twice,
+/// then `pd`: the star's epsilon moves then run from the highest states
+/// back to the lowest, across bit words.
+fn behind_long_prefix(ast: Ast, p: Vec<Atom>, short: bool, looped: bool) -> (Ast, Vec<Atom>) {
+    let prefix = long_prefix();
+    let body = Ast::seq(prefix.iter().copied().map(Ast::Atom).chain([ast]).collect());
+    let mut path = prefix;
+    if short {
+        path.pop();
+    }
+    path.extend(p);
+    if !looped {
+        return (body, path);
+    }
+    let tail = alphabet()[3];
+    let ast = Ast::seq(vec![Ast::Star(Box::new(body)), Ast::Atom(tail)]);
+    let mut twice = long_prefix();
+    twice.extend_from_slice(&path[matcher::INLINE_STATES - usize::from(short)..]);
+    twice.extend(path);
+    twice.push(tail);
+    (ast, twice)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -134,6 +169,30 @@ proptest! {
         let pat = Pattern::from_ast(ast.clone());
         let path = Path::from_atoms(p.clone());
         prop_assert_eq!(pat.matches(&path), oracle(&ast, &p));
+    }
+
+    /// The same agreement for NFAs above `matcher::INLINE_STATES`, whose
+    /// state sets keep their bits on the heap: the Thompson NFA and the
+    /// lattice's determinized and complemented automata of a long literal
+    /// prefix ahead of a random pattern.
+    #[test]
+    fn heap_form_nfas_match_oracle(
+        ast in arb_ast(),
+        p in arb_path(),
+        short in any::<bool>(),
+        looped in any::<bool>(),
+    ) {
+        let (ast, p) = behind_long_prefix(ast, p, short, looped);
+        let want = oracle(&ast, &p);
+        let pat = Pattern::from_ast(ast);
+        let dfa = lattice::determinize(pat.nfa());
+        let comp = lattice::complement(pat.nfa());
+        for nfa in [pat.nfa(), &dfa, &comp] {
+            prop_assert!(nfa.len() > matcher::INLINE_STATES, "{} states", nfa.len());
+        }
+        prop_assert_eq!(pat.matches(&Path::from_atoms(p.clone())), want);
+        prop_assert_eq!(matcher::matches(&dfa, &p), want);
+        prop_assert_eq!(matcher::matches(&comp, &p), !want);
     }
 
     /// Printing a pattern and re-parsing it preserves the language.

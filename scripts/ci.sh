@@ -44,7 +44,7 @@ RUST_TEST_THREADS=4 cargo test --release -p actorspace-core \
 # stranded in an idle mailbox (ignored in the debug suite, too slow there).
 cargo test --release -p actorspace-runtime --test mailbox_wakeup -q
 
-echo "==> E12 quick (attribute index: exact and prefix resolution must stay flat, 10^3 -> 10^4)"
+echo "==> E12 quick (attribute index: exact and prefix resolution must stay flat, 10^3 -> 10^4; an svc/* key must cost at most 0.2x an exact hit)"
 E12_QUICK=1 cargo run --release -p actorspace-bench --bin experiments e12
 
 echo "==> E14 quick (sharded coordinator send throughput, 1-8 threads)"
