@@ -196,7 +196,7 @@ fn e2_single_node() {
     for n_actors in [100usize, 1_000, 10_000] {
         let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
         let space = reg.create_space(None);
-        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        let mut out = Vec::new();
         for i in 0..n_actors {
             let a = reg.create_actor(space, None).unwrap();
             reg.make_visible(
@@ -204,7 +204,7 @@ fn e2_single_node() {
                 vec![path(&format!("srv/class-{}/inst-{}", i % 97, i))],
                 space,
                 None,
-                &mut sink,
+                &mut out,
             )
             .unwrap();
         }
@@ -306,10 +306,10 @@ fn e4_load_balance() {
             let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
             let space = reg.create_space(None);
             let mut replicas = Vec::new();
-            let mut sink0 = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+            let mut out = Vec::new();
             for _ in 0..k {
                 let a = reg.create_actor(space, None).unwrap();
-                reg.make_visible(a.into(), vec![path("srv")], space, None, &mut sink0)
+                reg.make_visible(a.into(), vec![path("srv")], space, None, &mut out)
                     .unwrap();
                 replicas.push(a);
             }
@@ -317,10 +317,10 @@ fn e4_load_balance() {
             let mut counts: std::collections::HashMap<ActorId, u32> = Default::default();
             let pat = pattern("srv");
             for _ in 0..n {
-                let mut sink = |to: ActorId, _: u64, _: Option<&actorspace_core::Route>| {
-                    *counts.entry(to).or_insert(0) += 1;
-                };
-                reg.send(&pat, space, 1, &mut sink).unwrap();
+                reg.send(&pat, space, 1, &mut out).unwrap();
+                for d in out.drain(..) {
+                    *counts.entry(d.to).or_insert(0) += 1;
+                }
             }
             let expected = n as f64 / k as f64;
             let chi2: f64 = replicas
@@ -427,10 +427,10 @@ fn e6_unmatched() {
         let space = reg.create_space(None);
         let pat = pattern("ghost");
         let n = 10_000u32;
+        let mut out = Vec::new();
         let (_, d) = time_it(|| {
             for _ in 0..n {
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                let _ = reg.send(&pat, space, 1, &mut sink);
+                let _ = reg.send(&pat, space, 1, &mut out);
             }
         });
         t.row(&[name.into(), fmt_dur(d), fmt_dur(d / n), behavior.into()]);
@@ -446,18 +446,15 @@ fn e6_unmatched() {
         let a = reg.create_actor(space, None).unwrap();
         let n = 10_000u32;
         let pat = pattern("late");
-        let mut delivered = 0u32;
+        let mut out = Vec::new();
         let (_, d) = time_it(|| {
             for _ in 0..n {
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                reg.send(&pat, space, 1, &mut sink).unwrap();
+                reg.send(&pat, space, 1, &mut out).unwrap();
             }
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {
-                delivered += 1;
-            };
-            reg.make_visible(a.into(), vec![path("late")], space, None, &mut sink)
+            reg.make_visible(a.into(), vec![path("late")], space, None, &mut out)
                 .unwrap();
         });
+        let delivered = out.len() as u32;
         assert_eq!(delivered, n);
         t.row(&[
             "suspend+wake".into(),
@@ -475,24 +472,16 @@ fn e6_unmatched() {
         let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let n = 1_000u32;
-        let mut delivered = 0u32;
+        let mut out = Vec::new();
         let (_, d) = time_it(|| {
-            {
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {
-                    delivered += 1;
-                };
-                reg.broadcast(&pattern("node"), space, 1, &mut sink)
-                    .unwrap();
-            }
+            reg.broadcast(&pattern("node"), space, 1, &mut out).unwrap();
             for _ in 0..n {
                 let a = reg.create_actor(space, None).unwrap();
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {
-                    delivered += 1;
-                };
-                reg.make_visible(a.into(), vec![path("node")], space, None, &mut sink)
+                reg.make_visible(a.into(), vec![path("node")], space, None, &mut out)
                     .unwrap();
             }
         });
+        let delivered = out.len() as u32;
         assert_eq!(delivered, n);
         t.row(&[
             "persistent".into(),
@@ -520,9 +509,9 @@ fn e7_cycles() {
         let build = || {
             let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
             let spaces: Vec<SpaceId> = (0..depth).map(|_| r.create_space(None)).collect();
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+            let mut out = Vec::new();
             for w in spaces.windows(2) {
-                r.make_visible(w[0].into(), vec![path("sub")], w[1], None, &mut sink)
+                r.make_visible(w[0].into(), vec![path("sub")], w[1], None, &mut out)
                     .unwrap();
             }
             (r, spaces)
@@ -535,9 +524,9 @@ fn e7_cycles() {
             .map(|_| r.create_actor(top, None).unwrap())
             .collect();
         let (_, d_actor) = time_it(|| {
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+            let mut out = Vec::new();
             for a in &actors {
-                r.make_visible((*a).into(), vec![path("x")], top, None, &mut sink)
+                r.make_visible((*a).into(), vec![path("x")], top, None, &mut out)
                     .unwrap();
             }
         });
@@ -546,16 +535,16 @@ fn e7_cycles() {
         let head = *spaces.last().unwrap();
         let extras: Vec<SpaceId> = (0..reps).map(|_| r.create_space(None)).collect();
         let (_, d_space) = time_it(|| {
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+            let mut out = Vec::new();
             for e in &extras {
-                r.make_visible(head.into(), vec![path("x")], *e, None, &mut sink)
+                r.make_visible(head.into(), vec![path("x")], *e, None, &mut out)
                     .unwrap();
             }
         });
         // Cycle rejection (worst case walk).
         let (r, spaces) = build();
         let (_, d_reject) = time_it(|| {
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+            let mut out = Vec::new();
             for _ in 0..reps {
                 let err = r
                     .make_visible(
@@ -563,7 +552,7 @@ fn e7_cycles() {
                         vec![path("loop")],
                         spaces[0],
                         None,
-                        &mut sink,
+                        &mut out,
                     )
                     .unwrap_err();
                 assert!(matches!(err, actorspace_core::Error::WouldCycle { .. }));
@@ -724,7 +713,7 @@ fn e10_gc() {
     );
     for live in [0.0f64, 0.5, 1.0] {
         let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
-        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        let mut out = Vec::new();
         for s in 0..100usize {
             let space = r.create_space(None);
             if (s as f64) < 100.0 * live {
@@ -733,7 +722,7 @@ fn e10_gc() {
                     vec![path(&format!("s{s}"))],
                     ROOT_SPACE,
                     None,
-                    &mut sink,
+                    &mut out,
                 )
                 .unwrap();
             }
@@ -744,7 +733,7 @@ fn e10_gc() {
                     vec![path(&format!("a{a}"))],
                     space,
                     None,
-                    &mut sink,
+                    &mut out,
                 )
                 .unwrap();
             }
@@ -828,10 +817,10 @@ fn e11_repository() {
 fn e12_registry(n: usize, attr: impl Fn(usize) -> String) -> (ShardedRegistry<u64>, SpaceId) {
     let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let space = reg.create_space(None);
-    let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+    let mut out = Vec::new();
     for i in 0..n {
         let a = reg.create_actor(space, None).unwrap();
-        reg.make_visible(a.into(), vec![path(&attr(i))], space, None, &mut sink)
+        reg.make_visible(a.into(), vec![path(&attr(i))], space, None, &mut out)
             .unwrap();
     }
     (reg, space)
@@ -1153,18 +1142,18 @@ fn e14_shard_contention() {
         let reg = Arc::new(ShardedRegistry::<u64>::new(policy.clone()));
         let shared = reg.create_space(None);
         let mut privates = Vec::new();
-        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        let mut out = Vec::new();
         for _ in 0..threads {
             let s = reg.create_space(None);
             let a = reg.create_actor(s, None).unwrap();
-            reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
+            reg.make_visible(a.into(), vec![path("worker")], s, None, &mut out)
                 .unwrap();
             reg.make_visible(
                 a.into(),
                 vec![path("shared/worker")],
                 shared,
                 None,
-                &mut sink,
+                &mut out,
             )
             .unwrap();
             privates.push(s);
@@ -1177,13 +1166,14 @@ fn e14_shard_contention() {
                     let reg = Arc::clone(&reg);
                     let (own, cross) = (own.clone(), cross.clone());
                     scope.spawn(move || {
-                        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+                        let mut out = Vec::new();
                         for i in 0..per_thread {
                             if i % 16 == 0 {
-                                reg.send(&cross, shared, i, &mut sink).unwrap();
+                                reg.send(&cross, shared, i, &mut out).unwrap();
                             } else {
-                                reg.send(&own, space, i, &mut sink).unwrap();
+                                reg.send(&own, space, i, &mut out).unwrap();
                             }
+                            out.clear();
                         }
                     });
                 }

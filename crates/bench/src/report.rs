@@ -148,18 +148,19 @@ impl Table {
     }
 }
 
-/// Formats a duration compactly (µs / ms / s). Below a microsecond it
-/// keeps two decimals, so a sub-µs cell never reads `0µs`.
+/// Formats a duration compactly (µs / ms / s). Below a millisecond it
+/// keeps three significant figures — two decimals below 10 µs, one below
+/// 1 ms — so a 2.9 µs cell never reads `2µs` and a sub-µs one never `0µs`.
 pub fn fmt_dur(d: Duration) -> String {
-    let us = d.as_micros();
-    if us < 1 {
-        format!("{:.2}µs", d.as_nanos() as f64 / 1_000.0)
-    } else if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.2}ms", us as f64 / 1_000.0)
+    let us = d.as_nanos() as f64 / 1_000.0;
+    if us < 10.0 {
+        format!("{us:.2}µs")
+    } else if us < 1_000.0 {
+        format!("{us:.1}µs")
+    } else if us < 1_000_000.0 {
+        format!("{:.2}ms", us / 1_000.0)
     } else {
-        format!("{:.2}s", us as f64 / 1_000_000.0)
+        format!("{:.2}s", us / 1_000_000.0)
     }
 }
 
@@ -204,9 +205,13 @@ mod tests {
 
     #[test]
     fn duration_formatting() {
-        assert_eq!(fmt_dur(Duration::from_micros(5)), "5µs");
+        assert_eq!(fmt_dur(Duration::from_micros(5)), "5.00µs");
         assert_eq!(fmt_dur(Duration::from_nanos(590)), "0.59µs");
         assert_eq!(fmt_dur(Duration::from_nanos(999)), "1.00µs");
+        // E2's pattern send: 145 ms / 50k sends, no longer truncated to 2µs.
+        assert_eq!(fmt_dur(Duration::from_millis(145) / 50_000), "2.90µs");
+        assert_eq!(fmt_dur(Duration::from_nanos(145_340)), "145.3µs");
+        assert_eq!(fmt_dur(Duration::from_nanos(999_000)), "999.0µs");
         assert_eq!(fmt_dur(Duration::from_micros(2_500)), "2.50ms");
         assert_eq!(fmt_dur(Duration::from_secs(3)), "3.00s");
     }

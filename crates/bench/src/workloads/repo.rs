@@ -45,7 +45,7 @@ pub fn build_repository(size: usize) -> Repository {
     let space = registry.create_space(None);
     let mut factories = HashMap::new();
     let mut attrs = Vec::new();
-    let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+    let mut out = Vec::new();
     for k in 0..size {
         let pkg = k / (IFACES_PER_PKG * VERSIONS);
         let iface = (k / VERSIONS) % IFACES_PER_PKG;
@@ -55,7 +55,7 @@ pub fn build_repository(size: usize) -> Repository {
             .expect("library space exists");
         let attr = path(&format!("pkg-{pkg}/iface-{iface}/v{ver}"));
         registry
-            .make_visible(id.into(), vec![attr.clone()], space, None, &mut sink)
+            .make_visible(id.into(), vec![attr.clone()], space, None, &mut out)
             .expect("factory registration");
         factories.insert((pkg, iface, ver), id);
         attrs.push((id, attr));
@@ -118,14 +118,14 @@ pub fn late_factory_is_found(repo: &Repository) -> bool {
         return false;
     }
     let id = repo.registry.create_actor(repo.space, None).expect("space");
-    let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+    let mut out = Vec::new();
     repo.registry
         .make_visible(
             id.into(),
             vec![path("pkg-new/iface-0/v0")],
             repo.space,
             None,
-            &mut sink,
+            &mut out,
         )
         .expect("register");
     let after = repo.registry.resolve(&pat, repo.space).expect("resolve");

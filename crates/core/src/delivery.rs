@@ -12,10 +12,13 @@
 //! error, or — for broadcasts — persist with exactly-once delivery to every
 //! future matching actor.
 //!
-//! Deliveries are emitted through a caller-supplied [`Sink`]; the
-//! coordinator itself never touches mailboxes, which keeps ordering
-//! concerns (deliberately unspecified for broadcasts, §5.3) in the runtime
-//! layer. The operations live on
+//! The coordinator decides each message's fate under its locks and carries
+//! out none of it there: every delivery it decides is pushed as an owned
+//! [`Delivery`] into a buffer the caller passes in, and the caller hands
+//! those to its transports once the call has returned and every lock has
+//! dropped (§7.2–7.3: the coordinator decides, transport objects carry).
+//! Ordering stays a runtime concern (deliberately unspecified for
+//! broadcasts, §5.3). The operations live on
 //! [`ShardedRegistry`](crate::ShardedRegistry); this module holds the
 //! types they hand back.
 
@@ -27,12 +30,20 @@ use actorspace_pattern::Pattern;
 use crate::ids::{ActorId, SpaceId};
 use crate::space::DeliveryKind;
 
-/// A sink receiving `(recipient, message, route)` triples as the
-/// coordinator decides deliveries. The runtime's sink enqueues into
-/// mailboxes; tests collect into vectors. The [`Route`] is present for
-/// pattern-resolved deliveries and lets distribution layers re-resolve a
-/// message whose recipient has since become unreachable.
-pub type Sink<'a, M> = &'a mut dyn FnMut(ActorId, M, Option<&Route>);
+/// One delivery the coordinator decided: `msg` goes to `to`, chosen by the
+/// pattern resolution in `route`. The runtime enqueues it into a mailbox
+/// or hands it to an uplink; tests read the buffer directly. The route lets
+/// distribution layers re-resolve a message whose recipient has since
+/// become unreachable.
+#[derive(Debug, Clone)]
+pub struct Delivery<M> {
+    /// The chosen recipient.
+    pub to: ActorId,
+    /// The payload.
+    pub msg: M,
+    /// The resolution that chose `to`.
+    pub route: Route,
+}
 
 /// What became of a send/broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +71,8 @@ impl Disposition {
 
 /// The pattern resolution that produced a delivery.
 ///
-/// Every sink invocation that came from a `send`/`broadcast` (rather than a
-/// point-to-point delivery) carries the originating pattern and space. A
+/// Every [`Delivery`] carries the originating pattern and space of the
+/// `send`/`broadcast` that produced it. A
 /// distribution layer can use it to *re-resolve* the message when the chosen
 /// recipient turns out to be unreachable — the failover path for node
 /// crashes: pattern-addressed messages are retargetable by construction,
@@ -139,27 +150,15 @@ mod tests {
         ShardedRegistry::new(p)
     }
 
-    /// Collects deliveries into a vec for assertions.
-    struct Collect(std::rc::Rc<std::cell::RefCell<Vec<(ActorId, &'static str)>>>);
-    fn collector() -> (Collect, impl FnMut(ActorId, &'static str, Option<&Route>)) {
-        let v = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let v2 = v.clone();
-        (Collect(v), move |a, m, _| v2.borrow_mut().push((a, m)))
-    }
-
-    impl Collect {
-        fn take(&self) -> Vec<(ActorId, &'static str)> {
-            std::mem::take(&mut self.0.borrow_mut())
-        }
-        fn len(&self) -> usize {
-            self.0.borrow().len()
-        }
+    /// Drains the delivery buffer into `(recipient, message)` pairs.
+    fn take(out: &mut Vec<Delivery<&'static str>>) -> Vec<(ActorId, &'static str)> {
+        out.drain(..).map(|d| (d.to, d.msg)).collect()
     }
 
     fn setup_workers(r: &Reg, n: usize) -> (SpaceId, Vec<ActorId>) {
         let s = r.create_space(None);
         let mut workers = Vec::new();
-        let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+        let mut k = Vec::new();
         for _ in 0..n {
             let a = r.create_actor(s, None).unwrap();
             r.make_visible(a.into(), vec![path("worker")], s, None, &mut k)
@@ -173,10 +172,10 @@ mod tests {
     fn send_reaches_exactly_one_matching_actor() {
         let r = reg();
         let (s, workers) = setup_workers(&r, 4);
-        let (got, mut sink) = collector();
-        let d = r.send(&pattern("worker"), s, "job", &mut sink).unwrap();
+        let mut out = Vec::new();
+        let d = r.send(&pattern("worker"), s, "job", &mut out).unwrap();
         assert_eq!(d, Disposition::Delivered(1));
-        let deliveries = got.take();
+        let deliveries = take(&mut out);
         assert_eq!(deliveries.len(), 1);
         assert!(workers.contains(&deliveries[0].0));
         assert_eq!(deliveries[0].1, "job");
@@ -191,9 +190,9 @@ mod tests {
         let (s, workers) = setup_workers(&r, 4);
         let mut counts: std::collections::HashMap<ActorId, u32> = Default::default();
         for _ in 0..400 {
-            let (got, mut sink) = collector();
-            r.send(&pattern("worker"), s, "j", &mut sink).unwrap();
-            for (a, _) in got.take() {
+            let mut out = Vec::new();
+            r.send(&pattern("worker"), s, "j", &mut out).unwrap();
+            for (a, _) in take(&mut out) {
                 *counts.entry(a).or_insert(0) += 1;
             }
         }
@@ -211,12 +210,12 @@ mod tests {
     fn broadcast_reaches_all_matching_actors() {
         let r = reg();
         let (s, workers) = setup_workers(&r, 8);
-        let (got, mut sink) = collector();
+        let mut out = Vec::new();
         let d = r
-            .broadcast(&pattern("worker"), s, "bound=17", &mut sink)
+            .broadcast(&pattern("worker"), s, "bound=17", &mut out)
             .unwrap();
         assert_eq!(d, Disposition::Delivered(8));
-        let mut who: Vec<ActorId> = got.take().into_iter().map(|(a, _)| a).collect();
+        let mut who: Vec<ActorId> = take(&mut out).into_iter().map(|(a, _)| a).collect();
         who.sort_unstable();
         let mut want = workers.clone();
         want.sort_unstable();
@@ -227,16 +226,16 @@ mod tests {
     fn broadcast_respects_pattern() {
         let r = reg();
         let s = r.create_space(None);
-        let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+        let mut k = Vec::new();
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
         r.make_visible(a.into(), vec![path("srv/fib")], s, None, &mut k)
             .unwrap();
         r.make_visible(b.into(), vec![path("cli/fib")], s, None, &mut k)
             .unwrap();
-        let (got, mut sink) = collector();
-        r.broadcast(&pattern("srv/**"), s, "x", &mut sink).unwrap();
-        assert_eq!(got.take(), vec![(a, "x")]);
+        let mut out = Vec::new();
+        r.broadcast(&pattern("srv/**"), s, "x", &mut out).unwrap();
+        assert_eq!(take(&mut out), vec![(a, "x")]);
     }
 
     #[test]
@@ -245,19 +244,19 @@ mod tests {
         // one actor arrives whose attribute matches the pattern."
         let r = reg(); // default = Suspend
         let s = r.create_space(None);
-        let (got, mut sink) = collector();
+        let mut out = Vec::new();
         let d = r
-            .send(&pattern("late/worker"), s, "early-job", &mut sink)
+            .send(&pattern("late/worker"), s, "early-job", &mut out)
             .unwrap();
         assert_eq!(d, Disposition::Suspended);
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
         assert_eq!(r.space_info(s).unwrap().pending_messages, 1);
 
         // The matching actor arrives; the suspended message is released.
         let a = r.create_actor(s, None).unwrap();
-        r.make_visible(a.into(), vec![path("late/worker")], s, None, &mut sink)
+        r.make_visible(a.into(), vec![path("late/worker")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.take(), vec![(a, "early-job")]);
+        assert_eq!(take(&mut out), vec![(a, "early-job")]);
         assert_eq!(r.space_info(s).unwrap().pending_messages, 0);
     }
 
@@ -265,20 +264,20 @@ mod tests {
     fn suspended_broadcast_wakes_to_all_present_matches() {
         let r = reg();
         let s = r.create_space(None);
-        let (got, mut sink) = collector();
-        r.broadcast(&pattern("w/*"), s, "b", &mut sink).unwrap();
-        assert_eq!(got.len(), 0);
+        let mut out = Vec::new();
+        r.broadcast(&pattern("w/*"), s, "b", &mut out).unwrap();
+        assert_eq!(out.len(), 0);
         // Two actors arrive before the wake trigger... the first
         // make_visible wakes the broadcast with only one present.
         let a = r.create_actor(s, None).unwrap();
-        r.make_visible(a.into(), vec![path("w/1")], s, None, &mut sink)
+        r.make_visible(a.into(), vec![path("w/1")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.take(), vec![(a, "b")]);
+        assert_eq!(take(&mut out), vec![(a, "b")]);
         // Later arrivals do NOT receive the already-released broadcast.
         let b = r.create_actor(s, None).unwrap();
-        r.make_visible(b.into(), vec![path("w/2")], s, None, &mut sink)
+        r.make_visible(b.into(), vec![path("w/2")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]
@@ -286,31 +285,31 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("idle")], s, None, &mut k)
             .unwrap();
-        let (got, mut sink) = collector();
-        r.send(&pattern("ready"), s, "m", &mut sink).unwrap();
-        assert_eq!(got.len(), 0);
-        r.change_attributes(a.into(), vec![path("ready")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.send(&pattern("ready"), s, "m", &mut out).unwrap();
+        assert_eq!(out.len(), 0);
+        r.change_attributes(a.into(), vec![path("ready")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.take(), vec![(a, "m")]);
+        assert_eq!(take(&mut out), vec![(a, "m")]);
     }
 
     #[test]
     fn discard_policy_drops() {
         let r = reg_with(UnmatchedPolicy::Discard);
         let s = r.create_space(None);
-        let (got, mut sink) = collector();
+        let mut out = Vec::new();
         assert_eq!(
-            r.send(&pattern("none"), s, "x", &mut sink).unwrap(),
+            r.send(&pattern("none"), s, "x", &mut out).unwrap(),
             Disposition::Discarded
         );
         assert_eq!(
-            r.broadcast(&pattern("none"), s, "x", &mut sink).unwrap(),
+            r.broadcast(&pattern("none"), s, "x", &mut out).unwrap(),
             Disposition::Discarded
         );
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
         assert_eq!(r.space_info(s).unwrap().pending_messages, 0);
     }
 
@@ -318,13 +317,13 @@ mod tests {
     fn error_policy_reports_no_match() {
         let r = reg_with(UnmatchedPolicy::Error);
         let s = r.create_space(None);
-        let (_, mut sink) = collector();
+        let mut out = Vec::new();
         assert!(matches!(
-            r.send(&pattern("none"), s, "x", &mut sink),
+            r.send(&pattern("none"), s, "x", &mut out),
             Err(Error::NoMatch { .. })
         ));
         assert!(matches!(
-            r.broadcast(&pattern("none"), s, "x", &mut sink),
+            r.broadcast(&pattern("none"), s, "x", &mut out),
             Err(Error::NoMatch { .. })
         ));
     }
@@ -336,50 +335,49 @@ mod tests {
         // pattern will receive the broadcast message exactly once."
         let r = reg_with(UnmatchedPolicy::Persistent);
         let s = r.create_space(None);
-        let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+        let mut k = Vec::new();
         let a = r.create_actor(s, None).unwrap();
         r.make_visible(a.into(), vec![path("node")], s, None, &mut k)
             .unwrap();
 
-        let (got, mut sink) = collector();
+        let mut out = Vec::new();
         let d = r
-            .broadcast(&pattern("node"), s, "protocol-v2", &mut sink)
+            .broadcast(&pattern("node"), s, "protocol-v2", &mut out)
             .unwrap();
         assert_eq!(d, Disposition::Persistent(1));
-        assert_eq!(got.take(), vec![(a, "protocol-v2")]);
+        assert_eq!(take(&mut out), vec![(a, "protocol-v2")]);
 
         // A future arrival gets it exactly once.
         let b = r.create_actor(s, None).unwrap();
-        r.make_visible(b.into(), vec![path("node")], s, None, &mut sink)
+        r.make_visible(b.into(), vec![path("node")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.take(), vec![(b, "protocol-v2")]);
+        assert_eq!(take(&mut out), vec![(b, "protocol-v2")]);
 
         // Repeated attribute churn does not re-deliver.
-        r.change_attributes(b.into(), vec![path("node")], s, None, &mut sink)
+        r.change_attributes(b.into(), vec![path("node")], s, None, &mut out)
             .unwrap();
-        r.change_attributes(a.into(), vec![path("node")], s, None, &mut sink)
+        r.change_attributes(a.into(), vec![path("node")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
 
         // An actor leaving and re-arriving still does not get a duplicate.
         r.make_invisible(a.into(), s, None).unwrap();
-        r.make_visible(a.into(), vec![path("node")], s, None, &mut sink)
+        r.make_visible(a.into(), vec![path("node")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]
     fn cancel_persistent_stops_future_deliveries() {
         let r = reg_with(UnmatchedPolicy::Persistent);
         let s = r.create_space(None);
-        let (got, mut sink) = collector();
-        r.broadcast(&pattern("node"), s, "hello", &mut sink)
-            .unwrap();
+        let mut out = Vec::new();
+        r.broadcast(&pattern("node"), s, "hello", &mut out).unwrap();
         assert_eq!(r.cancel_persistent(s, None).unwrap(), 1);
         let a = r.create_actor(s, None).unwrap();
-        r.make_visible(a.into(), vec![path("node")], s, None, &mut sink)
+        r.make_visible(a.into(), vec![path("node")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]
@@ -389,19 +387,19 @@ mod tests {
         let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
-        let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+        let mut k = Vec::new();
         r.make_visible(inner.into(), vec![path("pool")], outer, None, &mut k)
             .unwrap();
 
-        let (got, mut sink) = collector();
-        r.send(&pattern("pool/worker"), outer, "job", &mut sink)
+        let mut out = Vec::new();
+        r.send(&pattern("pool/worker"), outer, "job", &mut out)
             .unwrap();
-        assert_eq!(got.len(), 0);
+        assert_eq!(out.len(), 0);
 
         let a = r.create_actor(inner, None).unwrap();
-        r.make_visible(a.into(), vec![path("worker")], inner, None, &mut sink)
+        r.make_visible(a.into(), vec![path("worker")], inner, None, &mut out)
             .unwrap();
-        assert_eq!(got.take(), vec![(a, "job")]);
+        assert_eq!(take(&mut out), vec![(a, "job")]);
     }
 
     #[test]
@@ -414,7 +412,7 @@ mod tests {
         let (s, mut workers) = {
             let s = r.create_space(None);
             let mut v = Vec::new();
-            let mut k = |_: ActorId, _: &'static str, _: Option<&Route>| {};
+            let mut k = Vec::new();
             for _ in 0..3 {
                 let a = r.create_actor(s, None).unwrap();
                 r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
@@ -426,9 +424,9 @@ mod tests {
         workers.sort_unstable();
         let mut picks = Vec::new();
         for _ in 0..6 {
-            let (got, mut sink) = collector();
-            r.send(&pattern("w"), s, "j", &mut sink).unwrap();
-            picks.push(got.take()[0].0);
+            let mut out = Vec::new();
+            r.send(&pattern("w"), s, "j", &mut out).unwrap();
+            picks.push(take(&mut out)[0].0);
         }
         assert_eq!(picks[0..3], workers[..]);
         assert_eq!(picks[3..6], workers[..]);
@@ -448,18 +446,18 @@ mod tests {
         r.set_space_manager(s, Box::new(AlwaysMax), None).unwrap();
         let top = *workers.iter().max().unwrap();
         for _ in 0..10 {
-            let (got, mut sink) = collector();
-            r.send(&pattern("worker"), s, "j", &mut sink).unwrap();
-            assert_eq!(got.take()[0].0, top);
+            let mut out = Vec::new();
+            r.send(&pattern("worker"), s, "j", &mut out).unwrap();
+            assert_eq!(take(&mut out)[0].0, top);
         }
     }
 
     #[test]
     fn send_to_missing_space_errors() {
         let r = reg();
-        let (_, mut sink) = collector();
+        let mut out = Vec::new();
         assert!(matches!(
-            r.send(&pattern("x"), SpaceId(404), "m", &mut sink),
+            r.send(&pattern("x"), SpaceId(404), "m", &mut out),
             Err(Error::NoSuchSpace(_))
         ));
     }

@@ -54,10 +54,6 @@ mod tests {
         Vec::new()
     }
 
-    fn sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
-        |_, _, _| {}
-    }
-
     #[test]
     fn unreferenced_invisible_actor_is_collected() {
         let r = reg();
@@ -91,7 +87,7 @@ mod tests {
         let holder = r.create_actor(s, None).unwrap();
         r.add_root(holder);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         // `holder` knows the space; the space keeps `a` alive.
@@ -113,7 +109,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None); // nobody references s
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         let report = r.collect_garbage(&no_acq);
@@ -125,7 +121,7 @@ mod tests {
     fn actor_in_root_space_survives_forever() {
         let r = reg();
         let a = r.create_actor(ROOT_SPACE, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], ROOT_SPACE, None, &mut k)
             .unwrap();
         let report = r.collect_garbage(&no_acq);
@@ -171,7 +167,7 @@ mod tests {
         let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(inner.into(), vec![path("i")], outer, None, &mut k)
             .unwrap();
         r.make_visible(outer.into(), vec![path("o")], ROOT_SPACE, None, &mut k)
@@ -188,7 +184,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         r.add_root(a);

@@ -24,10 +24,13 @@
 //!   edges ([`ShardedRegistry::collect_garbage`], §5.5).
 //!
 //! The coordinator, [`ShardedRegistry`], keeps one lock per actorSpace
-//! ([`shard`]). It is generic over the message payload `M` and delivers
-//! through caller-supplied sinks, so the same core backs the single-node
-//! runtime (`actorspace-runtime`), the simulated cluster
-//! (`actorspace-net`), and direct use in tests and benchmarks.
+//! ([`shard`]). It is generic over the message payload `M` and decides
+//! deliveries without making them: an operation pushes each [`Delivery`]
+//! it decides into a `Vec` the caller owns, and the caller carries them out
+//! once the call has returned and its locks have dropped. The same core
+//! therefore backs the single-node runtime (`actorspace-runtime`), the
+//! simulated cluster (`actorspace-net`), and direct use in tests and
+//! benchmarks.
 //!
 //! ```
 //! use actorspace_core::{policy::ManagerPolicy, Disposition, ShardedRegistry};
@@ -39,15 +42,12 @@
 //! let worker = reg.create_actor(pool, None).unwrap();
 //!
 //! let mut deliveries = Vec::new();
-//! let mut sink = |to, msg, _route: Option<&actorspace_core::Route>| {
-//!     deliveries.push((to, msg));
-//! };
-//!
-//! reg.make_visible(worker.into(), vec![path("worker/fast")], pool, None, &mut sink)
+//! reg.make_visible(worker.into(), vec![path("worker/fast")], pool, None, &mut deliveries)
 //!     .unwrap();
-//! let d = reg.send(&pattern("worker/*"), pool, "job-1", &mut sink).unwrap();
+//! let d = reg.send(&pattern("worker/*"), pool, "job-1", &mut deliveries).unwrap();
 //! assert_eq!(d, Disposition::Delivered(1));
-//! assert_eq!(deliveries, vec![(worker, "job-1")]);
+//! assert_eq!(deliveries.len(), 1);
+//! assert_eq!((deliveries[0].to, deliveries[0].msg), (worker, "job-1"));
 //! ```
 
 #![deny(unsafe_code)]
@@ -68,7 +68,7 @@ pub use actorspace_atoms::{Atom, Path};
 pub use actorspace_obs as obs;
 pub use actorspace_obs::{Obs, ObsConfig, Stage, TraceId};
 pub use actorspace_pattern::Pattern;
-pub use delivery::{Disposition, Route, Sink};
+pub use delivery::{Delivery, Disposition, Route};
 pub use error::{Error, Result};
 pub use gc::GcReport;
 pub use ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};

@@ -147,17 +147,13 @@ mod tests {
         ShardedRegistry::new(p)
     }
 
-    fn sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
-        |_, _, _| {}
-    }
-
     #[test]
     fn quota_manager_caps_admissions() {
         let r = reg();
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(QuotaManager::new(2)), None)
             .unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         let mut admitted = 0;
         for i in 0..5 {
             let a = r.create_actor(s, None).unwrap();
@@ -177,7 +173,7 @@ mod tests {
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(QuotaManager::new(1)), None)
             .unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
@@ -199,7 +195,7 @@ mod tests {
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(NamespaceManager::new(path("public"))), None)
             .unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         let a = r.create_actor(s, None).unwrap();
         assert!(r
             .make_visible(a.into(), vec![path("public/svc")], s, None, &mut k)
@@ -227,7 +223,7 @@ mod tests {
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(StickyManager::new()), None)
             .unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         let mut workers = Vec::new();
         for _ in 0..3 {
             let a = r.create_actor(s, None).unwrap();
@@ -235,20 +231,19 @@ mod tests {
                 .unwrap();
             workers.push(a);
         }
-        let mut picks = Vec::new();
+        let mut out = Vec::new();
         for _ in 0..5 {
-            let mut sink = |to: ActorId, _: u32, _: Option<&crate::delivery::Route>| picks.push(to);
-            r.send(&pattern("w"), s, 1, &mut sink).unwrap();
+            r.send(&pattern("w"), s, 1, &mut out).unwrap();
         }
+        let picks: Vec<ActorId> = out.drain(..).map(|d| d.to).collect();
         assert!(picks.windows(2).all(|w| w[0] == w[1]), "sticky: {picks:?}");
         // The pinned worker leaves → a new one is chosen and pinned.
         let pinned = picks[0];
         r.make_invisible(pinned.into(), s, None).unwrap();
-        let mut later = Vec::new();
         for _ in 0..3 {
-            let mut sink = |to: ActorId, _: u32, _: Option<&crate::delivery::Route>| later.push(to);
-            r.send(&pattern("w"), s, 1, &mut sink).unwrap();
+            r.send(&pattern("w"), s, 1, &mut out).unwrap();
         }
+        let later: Vec<ActorId> = out.iter().map(|d| d.to).collect();
         assert!(later.iter().all(|&t| t != pinned));
         assert!(later.windows(2).all(|w| w[0] == w[1]));
     }
@@ -259,7 +254,7 @@ mod tests {
         let s = r.create_space(None);
         let (daemon, counter) = AuditDaemon::new();
         r.set_space_manager(s, Box::new(daemon), None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         let a = r.create_actor(s, None).unwrap();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();

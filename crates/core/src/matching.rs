@@ -26,7 +26,10 @@
 //! states), so forking it per key and stepping it over the key's atoms
 //! allocates nothing; matched members are pushed to one `Vec`, sorted and
 //! deduplicated once. A resolve therefore allocates a fixed number of times
-//! however many keys it visits, apart from the result's growth.
+//! however many keys it visits, apart from the result's growth. Within one
+//! scan, every key whose next atom no label of the pattern names takes the
+//! same first step, so that step is computed once per scan: the replica
+//! keys `svc/r0 … svc/r63` under `svc/*` share it.
 
 use std::collections::HashSet;
 use std::ops::Bound;
@@ -124,6 +127,31 @@ enum At {
     Nfa(StateSet),
 }
 
+/// The state set every key of one index scan starts from, and, once
+/// computed, its successor for the atoms no label of the pattern names:
+/// those all step alike ([`Pattern::names`]), so the keys whose next atom
+/// is one of them — every replica key under `svc/*` — share one step.
+struct ScanStart {
+    st: StateSet,
+    unnamed: Option<StateSet>,
+}
+
+impl ScanStart {
+    fn new(st: StateSet) -> ScanStart {
+        ScanStart { st, unnamed: None }
+    }
+
+    fn advance(&mut self, pattern: &Pattern, a: Atom) -> StateSet {
+        if pattern.names(a) {
+            return self.st.advance(pattern.nfa(), a);
+        }
+        let st = &self.st;
+        self.unnamed
+            .get_or_insert_with(|| st.advance(pattern.nfa(), a))
+            .clone()
+    }
+}
+
 /// One resolution's shared context.
 struct Walk<'a, S, F> {
     store: &'a S,
@@ -150,8 +178,9 @@ impl<'a, S, F: FnMut(MemberId)> Walk<'a, S, F> {
         let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
         let i = match at {
             At::Nfa(st) => {
+                let mut from = ScanStart::new(st);
                 for (attr, members) in sp.index() {
-                    self.step(sp, attr, attr.atoms(), members, st.clone(), depth)?;
+                    self.step(sp, attr, attr.atoms(), members, &mut from, depth)?;
                 }
                 return Ok(());
             }
@@ -187,16 +216,17 @@ impl<'a, S, F: FnMut(MemberId)> Walk<'a, S, F> {
                     .index()
                     .range::<[Atom], _>((Bound::Included(rest), Bound::Unbounded))
                     .take_while(|(attr, _)| attr.atoms().starts_with(rest));
+                let mut from = ScanStart::new(after_run.clone());
                 for (attr, members) in range {
                     let tail = &attr.atoms()[rest.len()..];
-                    self.step(sp, attr, tail, members, after_run.clone(), depth)?;
+                    self.step(sp, attr, tail, members, &mut from, depth)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Steps `st` over `atoms` (the unmatched tail of `attr`) and, unless
+    /// Steps `from` over `atoms` (the unmatched tail of `attr`) and, unless
     /// the match dies, reports or descends into `attr`'s members.
     #[allow(clippy::too_many_arguments)] // the walk's full position
     fn step<M: 'a>(
@@ -205,18 +235,25 @@ impl<'a, S, F: FnMut(MemberId)> Walk<'a, S, F> {
         attr: &Path,
         atoms: &[Atom],
         members: &[MemberId],
-        mut st: StateSet,
+        from: &mut ScanStart,
         depth: usize,
     ) -> Result<()>
     where
         S: SpaceStore<M>,
     {
-        let nfa = self.pattern.nfa();
-        for &a in atoms {
-            st = st.advance(nfa, a);
+        let (pattern, nfa) = (self.pattern, self.pattern.nfa());
+        let mut st = match atoms.split_first() {
+            Some((&a, _)) => from.advance(pattern, a),
+            None => from.st.clone(),
+        };
+        for &a in atoms.iter().skip(1) {
             if st.is_dead() {
                 return Ok(());
             }
+            st = st.advance(nfa, a);
+        }
+        if st.is_dead() {
+            return Ok(());
         }
         let accepting = st.is_accepting(nfa);
         let next = At::Nfa(st);
@@ -283,17 +320,13 @@ mod tests {
         ShardedRegistry::new(ManagerPolicy::default())
     }
 
-    fn sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
-        |_, _, _| {}
-    }
-
     #[test]
     fn resolve_by_exact_attribute() {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("fib")], s, None, &mut k)
             .unwrap();
         r.make_visible(b.into(), vec![path("fact")], s, None, &mut k)
@@ -308,7 +341,7 @@ mod tests {
         // The paper's `send(*@ProcPool, job, self)`.
         let r = reg();
         let pool = r.create_space(None);
-        let mut k = sink();
+        let mut k = Vec::new();
         let mut all = Vec::new();
         for i in 0..5 {
             let w = r.create_actor(pool, None).unwrap();
@@ -335,7 +368,7 @@ mod tests {
         let s1 = r.create_space(None);
         let s2 = r.create_space(None);
         let a = r.create_actor(s1, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s1, None, &mut k)
             .unwrap();
         assert_eq!(r.resolve(&pattern("w"), s1).unwrap(), vec![a]);
@@ -350,7 +383,7 @@ mod tests {
         let s = r.create_space(None);
         let t = r.create_space(None);
         let a = r.create_actor(t, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("fib")], t, None, &mut k)
             .unwrap();
         r.make_visible(t.into(), vec![path("srv")], s, None, &mut k)
@@ -372,7 +405,7 @@ mod tests {
         let lan = r.create_space(None);
         let host = r.create_space(None);
         let a = r.create_actor(host, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("cpu")], host, None, &mut k)
             .unwrap();
         r.make_visible(host.into(), vec![path("host1")], lan, None, &mut k)
@@ -395,7 +428,7 @@ mod tests {
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let a = r.create_actor(inner, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], inner, None, &mut k)
             .unwrap();
         r.make_visible(
@@ -414,7 +447,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("x/y"), path("x/z")], s, None, &mut k)
             .unwrap();
         assert_eq!(r.resolve(&pattern("x/*"), s).unwrap(), vec![a]);
@@ -429,7 +462,7 @@ mod tests {
         let m2 = r.create_space(None);
         let inner = r.create_space(None);
         let a = r.create_actor(inner, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], inner, None, &mut k)
             .unwrap();
         r.make_visible(inner.into(), vec![path("i")], m1, None, &mut k)
@@ -454,7 +487,7 @@ mod tests {
         let mid = r.create_space(None);
         let bot = r.create_space(None);
         let a = r.create_actor(bot, None).unwrap();
-        let mut k = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| {};
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], bot, None, &mut k)
             .unwrap();
         r.make_visible(bot.into(), vec![path("b")], mid, None, &mut k)
@@ -473,7 +506,7 @@ mod tests {
         let s = r.create_space(None);
         let t1 = r.create_space(None);
         let t2 = r.create_space(None);
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(t1.into(), vec![path("pool/alpha")], s, None, &mut k)
             .unwrap();
         r.make_visible(t2.into(), vec![path("pool/beta")], s, None, &mut k)
@@ -507,7 +540,7 @@ mod tests {
         let outer = r.create_space(None);
         let inner = r.create_space(None);
         let a = r.create_actor(inner, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("fib")], inner, None, &mut k)
             .unwrap();
         r.make_visible(inner.into(), vec![path("srv")], outer, None, &mut k)
@@ -538,7 +571,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("old")], s, None, &mut k)
             .unwrap();
         assert_eq!(r.resolve(&pattern("old"), s).unwrap(), vec![a]);
@@ -555,7 +588,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("srv/fib")], s, None, &mut k)
             .unwrap();
         assert_eq!(r.resolve(&pattern("srv"), s).unwrap(), vec![]);
@@ -569,7 +602,7 @@ mod tests {
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
         let c = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("x/y")], s, None, &mut k)
             .unwrap();
         r.make_visible(b.into(), vec![path("x/y/z")], s, None, &mut k)
@@ -589,7 +622,7 @@ mod tests {
         let by_exact = r.create_space(None);
         let a = r.create_actor(by_prefix, None).unwrap();
         let b = r.create_actor(by_exact, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("fib")], by_prefix, None, &mut k)
             .unwrap();
         r.make_visible(by_prefix.into(), vec![path("srv")], outer, None, &mut k)
@@ -628,7 +661,7 @@ mod tests {
         }
         let r = reg();
         let s = r.create_space(None);
-        let mut k = sink();
+        let mut k = Vec::new();
         let mut ids = Vec::new();
         for attr in [
             "edge-p/edge-q/leaf",
@@ -664,7 +697,7 @@ mod tests {
         let s = r.create_space(None);
         let t = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| {};
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         // Mutual visibility — would be rejected under Forbid.
@@ -685,9 +718,9 @@ mod tests {
         assert_eq!(r.resolve(&pattern("me/me/me/w"), s).unwrap(), vec![a]);
 
         // Delivery counts once per recipient.
-        let mut delivered = 0u32;
-        let mut sink = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| delivered += 1;
-        r.broadcast(&pattern("**/w"), s, 1, &mut sink).unwrap();
+        let mut out = Vec::new();
+        r.broadcast(&pattern("**/w"), s, 1, &mut out).unwrap();
+        let delivered = out.len();
         assert_eq!(delivered, 1);
     }
 
@@ -698,7 +731,7 @@ mod tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("svc/stable")], s, None, &mut k)
             .unwrap();
         r.make_visible(b.into(), vec![path("svc/deprecated")], s, None, &mut k)
@@ -728,7 +761,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("hidden/one")], s, None, &mut k)
             .unwrap();
         let filter: crate::space::MatchFilter = Arc::new(|_pat, _member, attr| {
@@ -751,22 +784,22 @@ mod tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
-        let mut k = |_: ActorId, _: u32, _: Option<&crate::delivery::Route>| {};
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         r.make_visible(b.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         r.report_load(s, a, 100).unwrap();
         r.report_load(s, b, 1).unwrap();
-        let mut picks = Vec::new();
+        let mut out = Vec::new();
         for _ in 0..3 {
-            let mut sink = |to: ActorId, _: u32, _: Option<&crate::delivery::Route>| picks.push(to);
-            r.send(&pattern("w"), s, 1, &mut sink).unwrap();
+            r.send(&pattern("w"), s, 1, &mut out).unwrap();
         }
+        let picks: Vec<ActorId> = out.iter().map(|d| d.to).collect();
         assert!(picks.iter().all(|&p| p == b), "{picks:?}");
         r.report_load(s, b, 1000).unwrap();
-        let mut sink2 = |to: ActorId, _: u32, _: Option<&crate::delivery::Route>| picks.push(to);
-        r.send(&pattern("w"), s, 1, &mut sink2).unwrap();
+        r.send(&pattern("w"), s, 1, &mut out).unwrap();
+        let picks: Vec<ActorId> = out.iter().map(|d| d.to).collect();
         assert_eq!(*picks.last().unwrap(), a);
     }
 
@@ -774,7 +807,7 @@ mod tests {
     fn forbid_policy_still_rejects_cycles() {
         let r = reg(); // default Forbid
         let s = r.create_space(None);
-        let mut k = sink();
+        let mut k = Vec::new();
         assert!(matches!(
             r.make_visible(s.into(), vec![path("me")], s, None, &mut k),
             Err(Error::WouldCycle { .. })
@@ -786,7 +819,7 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         r.make_invisible(a.into(), s, None).unwrap();

@@ -4,9 +4,9 @@
 //! The paper's coordinator "maintains coherence of the state of
 //! ActorSpace. This state includes 'live' actors and actorSpaces as well as
 //! visibility of actors" (§7.3). One [`ShardedRegistry`] is that state for
-//! one node. It is generic over the message payload `M` and performs
-//! deliveries through a caller-supplied [`Sink`], so the same type backs
-//! the single-node runtime, the simulated cluster, and plain in-test use.
+//! one node. It is generic over the message payload `M` and hands back the
+//! deliveries it decides (see below), so the same type backs the
+//! single-node runtime, the simulated cluster, and plain in-test use.
 //!
 //! Pattern matching is *scoped*: a resolution at `space` can only observe
 //! `space` itself plus the sub-spaces transitively visible in it (§7.1), so
@@ -36,13 +36,24 @@
 //! bigger lock sets; disjoint sends proceed fully in parallel under the
 //! shared meta read lock.
 //!
-//! Sinks are invoked with shard locks held and must not re-enter the
-//! coordinator.
+//! ## Decide under the locks, deliver after them
+//!
+//! An operation decides every message's fate under its locks — choose a
+//! recipient, suspend, record a persistent delivery, discard, or error
+//! (§5.6) — and carries out none of it there. Each delivery it decides is
+//! pushed as an owned [`Delivery`] into the `&mut Vec` the caller passes
+//! in; the caller delivers them after the call returns, when every guard
+//! has dropped. Mailboxes, uplinks and codecs therefore never run inside a
+//! critical section, and a transport may call back into the coordinator.
+//! Manager callbacks and the garbage collector's `acquaintances` do run
+//! under the locks, because they take part in the decision; they must not
+//! re-enter.
 //!
 //! All of the above is *checked*, not just documented: every lock here is
 //! an [`actorspace_lockcheck`] wrapper tagged `Meta` or `Shard(id)`, each
-//! public operation opens a [`enter_coordinator`] section, and each sink or
-//! manager callback runs inside an [`enter_callback`] section. Built with
+//! public operation opens a [`enter_coordinator`] section, and each
+//! callback (manager hooks, `acquaintances`, `with_space` closures) runs
+//! inside an [`enter_callback`] section. Built with
 //! `--features lockcheck`, the checker enforces meta-before-shard,
 //! ascending shard order, no callback re-entry, and (per §5.7) re-verifies
 //! the visibility DAG after every topology mutation. Without the feature
@@ -65,7 +76,7 @@ use actorspace_lockcheck::{
 use actorspace_obs::{names, Counter, Obs, ObsConfig, Stage, TraceId};
 use actorspace_pattern::Pattern;
 
-use crate::delivery::{CoreMetrics, Disposition, Route, Sink};
+use crate::delivery::{CoreMetrics, Delivery, Disposition, Route};
 use crate::error::{Error, Result};
 use crate::gc::GcReport;
 use crate::ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
@@ -152,37 +163,35 @@ impl<'a, M> SpaceStore<M> for BTreeMap<SpaceId, MutexGuard<'a, Space<M>>> {
     }
 }
 
-/// Mutable access to the locked shards of one delivery — what the
-/// `*_locked` internals need beyond [`SpaceStore`]'s read view.
-trait GuardStore<M>: SpaceStore<M> {
-    fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>>;
+/// The shards a read-side operation (send, broadcast, resend, resolve)
+/// holds: the visibility closure of its scope, locked under the meta read
+/// lock by [`lock_scope`].
+enum ScopeGuards<'a, M> {
+    /// The fast path. A scope with no visible sub-spaces (`meta.edges`
+    /// empty for it) has a singleton lock set, so the closure walk and the
+    /// guard map are skipped and the one mutex is locked directly. The
+    /// resolution walk cannot leave the scope (no space members), so a
+    /// one-entry store is a complete view.
+    Single(SpaceId, MutexGuard<'a, Space<M>>),
+    /// Every shard the scope can reach, in ascending id order.
+    Closure(Guards<'a, M>),
 }
 
-impl<'a, M> GuardStore<M> for BTreeMap<SpaceId, MutexGuard<'a, Space<M>>> {
-    fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>> {
-        self.get_mut(&id).map(|g| &mut **g)
-    }
-}
-
-/// Exactly one locked shard — the delivery fast path. A scope with no
-/// visible sub-spaces (`meta.edges` empty for it) has a singleton lock
-/// set, so sends and broadcasts skip the closure walk and the guard map
-/// and lock the one mutex directly. The resolution walk cannot leave the
-/// scope (no space members), so a one-entry store is a complete view.
-struct SingleGuard<'a, M> {
-    id: SpaceId,
-    guard: MutexGuard<'a, Space<M>>,
-}
-
-impl<'a, M> SpaceStore<M> for SingleGuard<'a, M> {
+impl<'a, M> SpaceStore<M> for ScopeGuards<'a, M> {
     fn get_space(&self, id: SpaceId) -> Option<&Space<M>> {
-        (id == self.id).then(|| &*self.guard)
+        match self {
+            ScopeGuards::Single(only, g) => (id == *only).then(|| &**g),
+            ScopeGuards::Closure(gs) => gs.get_space(id),
+        }
     }
 }
 
-impl<'a, M> GuardStore<M> for SingleGuard<'a, M> {
+impl<'a, M> ScopeGuards<'a, M> {
     fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>> {
-        (id == self.id).then(|| &mut *self.guard)
+        match self {
+            ScopeGuards::Single(only, g) => (id == *only).then(|| &mut **g),
+            ScopeGuards::Closure(gs) => gs.get_mut(&id).map(|g| &mut **g),
+        }
     }
 }
 
@@ -197,32 +206,34 @@ fn arcs_for<M>(meta: &Meta<M>, ids: impl IntoIterator<Item = SpaceId>) -> ShardA
 }
 
 /// Locks every shard in `arcs`, in the ascending id order `arcs` is built
-/// in — one of the two places shard mutexes are acquired (the other is the
-/// singleton fast path in [`lock_single`]).
+/// in — the writers' way of locking shards (they keep `meta` mutable, so
+/// the guards borrow the cloned `Arc`s rather than the directory).
 fn lock_all<M>(arcs: &ShardArcs<M>) -> Guards<'_, M> {
     arcs.iter().map(|(id, m)| (*id, m.lock())).collect()
 }
 
-/// Delivery fast path: when `scope` has no visible sub-spaces its lock set
-/// is exactly `{scope}`, so skip the closure walk and the guard map and
-/// lock the one shard in place (a singleton set trivially satisfies the
-/// ascending-order protocol). Returns the shard's metric handles alongside
-/// so callers bump per-space counters without a second directory lookup.
-fn lock_single<'a, M>(
-    meta: &'a Meta<M>,
-    scope: SpaceId,
-) -> Option<(SingleGuard<'a, M>, &'a ShardMetrics)> {
-    if meta.edges.get(&scope).is_some_and(|subs| !subs.is_empty()) {
-        return None;
+/// Locks the visibility closure of `scope` for a read-side operation,
+/// borrowing the shards straight from the read-locked directory. A scope
+/// with no visible sub-spaces takes the [`ScopeGuards::Single`] fast path
+/// (a singleton set trivially satisfies the ascending-order protocol).
+/// Returns the scope's metric handles alongside, `None` when the scope
+/// does not exist, so callers bump per-space counters without a second
+/// directory lookup.
+fn lock_scope<M>(meta: &Meta<M>, scope: SpaceId) -> (ScopeGuards<'_, M>, Option<&ShardMetrics>) {
+    let sh = meta.shards.get(&scope);
+    if let Some(sh) = sh {
+        if meta.edges.get(&scope).is_none_or(|subs| subs.is_empty()) {
+            return (ScopeGuards::Single(scope, sh.space.lock()), Some(&sh.m));
+        }
     }
-    let sh = meta.shards.get(&scope)?;
-    Some((
-        SingleGuard {
-            id: scope,
-            guard: sh.space.lock(),
-        },
-        &sh.m,
-    ))
+    let ids: BTreeSet<SpaceId> = visibility::reachable(&meta.edges, [scope])
+        .into_iter()
+        .collect();
+    let guards = ids
+        .into_iter()
+        .filter_map(|id| meta.shards.get(&id).map(|sh| (id, sh.space.lock())))
+        .collect();
+    (ScopeGuards::Closure(guards), sh.map(|sh| &sh.m))
 }
 
 fn member_guard<M>(meta: &Meta<M>, member: MemberId) -> Result<&Guard> {
@@ -556,14 +567,15 @@ impl<M: Clone> ShardedRegistry<M> {
     /// full wake closure (plus, for a space member, the child's own
     /// subtree, which becomes reachable by the insertion), runs every check
     /// under those locks, and only then mutates — so a failed check never
-    /// needs rollback.
+    /// needs rollback. Suspended and persistent messages the change makes
+    /// deliverable are pushed onto `out`.
     pub fn make_visible(
         &self,
         member: MemberId,
         attrs: Vec<Path>,
         space: SpaceId,
         cap: Option<&Capability>,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) -> Result<()> {
         let _op = enter_coordinator("ShardedRegistry::make_visible");
         let mut meta = self.meta.write();
@@ -620,7 +632,7 @@ impl<M: Clone> ShardedRegistry<M> {
             }
         }
         Self::validate_dag_after_mutation(&meta, "make_visible");
-        self.wake_locked(&meta, &mut guards, space, sink);
+        self.wake_locked(&meta, &mut guards, space, out);
         Ok(())
     }
 
@@ -678,7 +690,7 @@ impl<M: Clone> ShardedRegistry<M> {
         attrs: Vec<Path>,
         space: SpaceId,
         cap: Option<&Capability>,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) -> Result<()> {
         let _op = enter_coordinator("ShardedRegistry::change_attributes");
         let meta = self.meta.read();
@@ -704,7 +716,7 @@ impl<M: Clone> ShardedRegistry<M> {
             let _cb = enter_callback("Manager::on_change");
             sp.manager_mut().on_change(member);
         }
-        self.wake_locked(&meta, &mut guards, space, sink);
+        self.wake_locked(&meta, &mut guards, space, out);
         Ok(())
     }
 
@@ -788,14 +800,14 @@ impl<M: Clone> ShardedRegistry<M> {
     // ------------------------------------------------------------------
 
     /// `send(pattern@space, message)` — deliver to one non-deterministically
-    /// chosen matching actor (§5.3). Locks the visibility closure of
-    /// `space` only.
+    /// chosen matching actor (§5.3), pushed onto `out`. Locks the
+    /// visibility closure of `space` only.
     pub fn send(
         &self,
         pattern: &Pattern,
         space: SpaceId,
         msg: M,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::send");
         let trace = self.obs.tracer.begin();
@@ -804,17 +816,11 @@ impl<M: Clone> ShardedRegistry<M> {
             .tracer
             .record(trace, self.node, Stage::Submitted { broadcast: false });
         let meta = self.meta.read();
-        if let Some(single) = lock_single(&meta, space) {
-            single.1.sends.inc();
-            let mut single = single.0;
-            return self.send_locked(&meta, &mut single, pattern, space, msg, sink, trace);
+        let (mut guards, m) = lock_scope(&meta, space);
+        if let Some(m) = m {
+            m.sends.inc();
         }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
-        let mut guards = lock_all(&arcs);
-        if let Some(sh) = meta.shards.get(&space) {
-            sh.m.sends.inc();
-        }
-        self.send_locked(&meta, &mut guards, pattern, space, msg, sink, trace)
+        self.send_locked(&meta, &mut guards, pattern, space, msg, out, trace)
     }
 
     /// `broadcast(pattern@space, message)` — deliver to all matching actors
@@ -824,7 +830,7 @@ impl<M: Clone> ShardedRegistry<M> {
         pattern: &Pattern,
         space: SpaceId,
         msg: M,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::broadcast");
         let trace = self.obs.tracer.begin();
@@ -833,17 +839,11 @@ impl<M: Clone> ShardedRegistry<M> {
             .tracer
             .record(trace, self.node, Stage::Submitted { broadcast: true });
         let meta = self.meta.read();
-        if let Some(single) = lock_single(&meta, space) {
-            single.1.broadcasts.inc();
-            let mut single = single.0;
-            return self.broadcast_locked(&meta, &mut single, pattern, space, msg, sink, trace);
+        let (mut guards, m) = lock_scope(&meta, space);
+        if let Some(m) = m {
+            m.broadcasts.inc();
         }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
-        let mut guards = lock_all(&arcs);
-        if let Some(sh) = meta.shards.get(&space) {
-            sh.m.broadcasts.inc();
-        }
-        self.broadcast_locked(&meta, &mut guards, pattern, space, msg, sink, trace)
+        self.broadcast_locked(&meta, &mut guards, pattern, space, msg, out, trace)
     }
 
     /// Re-resolves a previously routed message against the current state —
@@ -854,52 +854,18 @@ impl<M: Clone> ShardedRegistry<M> {
     /// emitted, and node- and space-level submit counters are not
     /// re-incremented, so the export shows one unbroken
     /// `submitted → … → failed_over → … → delivered` history.
-    pub fn resend(&self, route: &Route, msg: M, sink: Sink<'_, M>) -> Result<Disposition> {
+    pub fn resend(&self, route: &Route, msg: M, out: &mut Vec<Delivery<M>>) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::resend");
         let meta = self.meta.read();
-        if let Some((mut single, _)) = lock_single(&meta, route.space) {
-            return match route.kind {
-                DeliveryKind::Send => self.send_locked(
-                    &meta,
-                    &mut single,
-                    &route.pattern,
-                    route.space,
-                    msg,
-                    sink,
-                    route.trace,
-                ),
-                DeliveryKind::Broadcast => self.broadcast_locked(
-                    &meta,
-                    &mut single,
-                    &route.pattern,
-                    route.space,
-                    msg,
-                    sink,
-                    route.trace,
-                ),
-            };
-        }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [route.space]));
-        let mut guards = lock_all(&arcs);
+        let (mut guards, _) = lock_scope(&meta, route.space);
+        let (pattern, space, trace) = (&route.pattern, route.space, route.trace);
         match route.kind {
-            DeliveryKind::Send => self.send_locked(
-                &meta,
-                &mut guards,
-                &route.pattern,
-                route.space,
-                msg,
-                sink,
-                route.trace,
-            ),
-            DeliveryKind::Broadcast => self.broadcast_locked(
-                &meta,
-                &mut guards,
-                &route.pattern,
-                route.space,
-                msg,
-                sink,
-                route.trace,
-            ),
+            DeliveryKind::Send => {
+                self.send_locked(&meta, &mut guards, pattern, space, msg, out, trace)
+            }
+            DeliveryKind::Broadcast => {
+                self.broadcast_locked(&meta, &mut guards, pattern, space, msg, out, trace)
+            }
         }
     }
 
@@ -920,7 +886,7 @@ impl<M: Clone> ShardedRegistry<M> {
     fn resolve_counted(
         &self,
         meta: &Meta<M>,
-        guards: &impl GuardStore<M>,
+        guards: &impl SpaceStore<M>,
         pattern: &Pattern,
         scope: SpaceId,
     ) -> Result<Vec<ActorId>> {
@@ -941,11 +907,11 @@ impl<M: Clone> ShardedRegistry<M> {
     fn send_locked(
         &self,
         meta: &Meta<M>,
-        guards: &mut impl GuardStore<M>,
+        guards: &mut ScopeGuards<'_, M>,
         pattern: &Pattern,
         space: SpaceId,
         msg: M,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
         trace: TraceId,
     ) -> Result<Disposition> {
         // Match latency is sampled with the trace: the extra clock reads
@@ -980,14 +946,16 @@ impl<M: Clone> ShardedRegistry<M> {
                     None => sp.selector_mut().select(&candidates),
                 }
             };
-            let route = Route {
-                pattern: pattern.clone(),
-                space,
-                kind: DeliveryKind::Send,
-                trace,
-            };
-            let _cb = enter_callback("sink");
-            sink(pick, msg, Some(&route));
+            out.push(Delivery {
+                to: pick,
+                msg,
+                route: Route {
+                    pattern: pattern.clone(),
+                    space,
+                    kind: DeliveryKind::Send,
+                    trace,
+                },
+            });
             return Ok(Disposition::Delivered(1));
         }
         let policy = {
@@ -1041,11 +1009,11 @@ impl<M: Clone> ShardedRegistry<M> {
     fn broadcast_locked(
         &self,
         meta: &Meta<M>,
-        guards: &mut impl GuardStore<M>,
+        guards: &mut ScopeGuards<'_, M>,
         pattern: &Pattern,
         space: SpaceId,
         msg: M,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
         trace: TraceId,
     ) -> Result<Disposition> {
         let t0 = if trace.is_some() {
@@ -1085,12 +1053,11 @@ impl<M: Clone> ShardedRegistry<M> {
             trace,
         };
         if policy == UnmatchedPolicy::Persistent {
-            {
-                let _cb = enter_callback("sink");
-                for &c in &candidates {
-                    sink(c, msg.clone(), Some(&route));
-                }
-            }
+            out.extend(candidates.iter().map(|&to| Delivery {
+                to,
+                msg: msg.clone(),
+                route: route.clone(),
+            }));
             let n = candidates.len();
             guards
                 .get_space_mut(space)
@@ -1104,10 +1071,11 @@ impl<M: Clone> ShardedRegistry<M> {
         }
         if !candidates.is_empty() {
             let n = candidates.len();
-            let _cb = enter_callback("sink");
-            for c in candidates {
-                sink(c, msg.clone(), Some(&route));
-            }
+            out.extend(candidates.into_iter().map(|to| Delivery {
+                to,
+                msg: msg.clone(),
+                route: route.clone(),
+            }));
             return Ok(Disposition::Delivered(n));
         }
         match policy {
@@ -1157,14 +1125,14 @@ impl<M: Clone> ShardedRegistry<M> {
         meta: &Meta<M>,
         guards: &mut Guards<'_, M>,
         changed: SpaceId,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) {
         let mut affected: Vec<SpaceId> = visibility::ancestors(&meta.containers, changed)
             .into_iter()
             .collect();
         affected.sort_unstable();
         for s in affected {
-            self.retry_space_locked(meta, guards, s, &mut *sink);
+            self.retry_space_locked(meta, guards, s, out);
         }
     }
 
@@ -1173,7 +1141,7 @@ impl<M: Clone> ShardedRegistry<M> {
         meta: &Meta<M>,
         guards: &mut Guards<'_, M>,
         space: SpaceId,
-        sink: Sink<'_, M>,
+        out: &mut Vec<Delivery<M>>,
     ) {
         // --- Suspended messages (§5.6) ---
         let pending = match guards.get_mut(&space) {
@@ -1195,7 +1163,7 @@ impl<M: Clone> ShardedRegistry<M> {
                 .record(self.obs.now_nanos().saturating_sub(p.since_nanos));
             self.obs.tracer.record(p.trace, self.node, Stage::Woken);
             let route = Route {
-                pattern: p.pattern.clone(),
+                pattern: p.pattern,
                 space,
                 kind: p.kind,
                 trace: p.trace,
@@ -1209,16 +1177,20 @@ impl<M: Clone> ShardedRegistry<M> {
                             None => sp.selector_mut().select(&candidates),
                         }
                     });
-                    if let Some(pick) = pick {
-                        let _cb = enter_callback("sink");
-                        sink(pick, p.msg, Some(&route));
+                    if let Some(to) = pick {
+                        out.push(Delivery {
+                            to,
+                            msg: p.msg,
+                            route,
+                        });
                     }
                 }
                 DeliveryKind::Broadcast => {
-                    let _cb = enter_callback("sink");
-                    for c in candidates {
-                        sink(c, p.msg.clone(), Some(&route));
-                    }
+                    out.extend(candidates.into_iter().map(|to| Delivery {
+                        to,
+                        msg: p.msg.clone(),
+                        route: route.clone(),
+                    }));
                 }
             }
         }
@@ -1249,19 +1221,18 @@ impl<M: Clone> ShardedRegistry<M> {
                 kind: DeliveryKind::Broadcast,
                 trace: TraceId::NONE,
             };
-            let _cb = enter_callback("sink");
-            for c in candidates {
-                if pb.delivered.insert(c) {
-                    sink(c, pb.msg.clone(), Some(&route));
+            for to in candidates {
+                if pb.delivered.insert(to) {
+                    out.push(Delivery {
+                        to,
+                        msg: pb.msg.clone(),
+                        route: route.clone(),
+                    });
                 }
             }
         }
         if let Some(sp) = guards.get_mut(&space) {
-            let mut merged = persistent;
-            // Sinks do not re-enter the coordinator, but be defensive and
-            // keep anything registered while the list was detached.
-            merged.extend(std::mem::take(sp.persistent_mut()));
-            *sp.persistent_mut() = merged;
+            *sp.persistent_mut() = persistent;
         }
     }
 
@@ -1276,8 +1247,7 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<ActorId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
-        let guards = lock_all(&arcs);
+        let (guards, _) = lock_scope(&meta, space);
         self.resolve_counted(&meta, &guards, pattern, space)
     }
 
@@ -1286,8 +1256,7 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve_spaces(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<SpaceId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve_spaces");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, [space]));
-        let guards = lock_all(&arcs);
+        let (guards, _) = lock_scope(&meta, space);
         matching::resolve_spaces_in(&guards, pattern, space)
     }
 
@@ -1498,12 +1467,9 @@ mod tests {
         ShardedRegistry::new(p)
     }
 
-    type Log = std::rc::Rc<std::cell::RefCell<Vec<(ActorId, &'static str)>>>;
-
-    fn collector() -> (Log, impl FnMut(ActorId, &'static str, Option<&Route>)) {
-        let v: Log = Default::default();
-        let v2 = v.clone();
-        (v, move |a, m, _| v2.borrow_mut().push((a, m)))
+    /// The `(recipient, message)` pairs of a delivery buffer.
+    fn pairs(out: &[Delivery<&'static str>]) -> Vec<(ActorId, &'static str)> {
+        out.iter().map(|d| (d.to, d.msg)).collect()
     }
 
     #[test]
@@ -1518,28 +1484,28 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let (got, mut sink) = collector();
-        r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(a.into(), vec![path("w")], s, None, &mut out)
             .unwrap();
-        let d = r.send(&pattern("w"), s, "job", &mut sink).unwrap();
+        let d = r.send(&pattern("w"), s, "job", &mut out).unwrap();
         assert_eq!(d, Disposition::Delivered(1));
-        assert_eq!(got.borrow().as_slice(), &[(a, "job")]);
+        assert_eq!(pairs(&out).as_slice(), &[(a, "job")]);
     }
 
     #[test]
     fn suspended_send_wakes_on_arrival() {
         let r = reg();
         let s = r.create_space(None);
-        let (got, mut sink) = collector();
+        let mut out = Vec::new();
         assert_eq!(
-            r.send(&pattern("late"), s, "early", &mut sink).unwrap(),
+            r.send(&pattern("late"), s, "early", &mut out).unwrap(),
             Disposition::Suspended
         );
         assert_eq!(r.space_info(s).unwrap().pending_messages, 1);
         let a = r.create_actor(s, None).unwrap();
-        r.make_visible(a.into(), vec![path("late")], s, None, &mut sink)
+        r.make_visible(a.into(), vec![path("late")], s, None, &mut out)
             .unwrap();
-        assert_eq!(got.borrow().as_slice(), &[(a, "early")]);
+        assert_eq!(pairs(&out).as_slice(), &[(a, "early")]);
         assert_eq!(r.space_info(s).unwrap().pending_messages, 0);
     }
 
@@ -1549,16 +1515,16 @@ mod tests {
         let r = reg();
         let outer = r.create_space(None);
         let inner = r.create_space(None);
-        let (got, mut sink) = collector();
-        r.make_visible(inner.into(), vec![path("pool")], outer, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(inner.into(), vec![path("pool")], outer, None, &mut out)
             .unwrap();
-        r.send(&pattern("pool/worker"), outer, "job", &mut sink)
+        r.send(&pattern("pool/worker"), outer, "job", &mut out)
             .unwrap();
-        assert!(got.borrow().is_empty());
+        assert!(out.is_empty());
         let a = r.create_actor(inner, None).unwrap();
-        r.make_visible(a.into(), vec![path("worker")], inner, None, &mut sink)
+        r.make_visible(a.into(), vec![path("worker")], inner, None, &mut out)
             .unwrap();
-        assert_eq!(got.borrow().as_slice(), &[(a, "job")]);
+        assert_eq!(pairs(&out).as_slice(), &[(a, "job")]);
     }
 
     #[test]
@@ -1567,13 +1533,13 @@ mod tests {
         let a = r.create_space(None);
         let b = r.create_space(None);
         let c = r.create_space(None);
-        let (_, mut sink) = collector();
-        r.make_visible(MemberId::Space(a), vec![path("a")], b, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(MemberId::Space(a), vec![path("a")], b, None, &mut out)
             .unwrap();
-        r.make_visible(MemberId::Space(b), vec![path("b")], c, None, &mut sink)
+        r.make_visible(MemberId::Space(b), vec![path("b")], c, None, &mut out)
             .unwrap();
         let err = r
-            .make_visible(MemberId::Space(c), vec![path("c")], a, None, &mut sink)
+            .make_visible(MemberId::Space(c), vec![path("c")], a, None, &mut out)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1598,10 +1564,10 @@ mod tests {
             ..Default::default()
         };
         r.set_space_policy(tolerant, policy, None).unwrap();
-        let (_, mut sink) = collector();
-        r.make_visible(tolerant.into(), vec![path("t")], forbid, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(tolerant.into(), vec![path("t")], forbid, None, &mut out)
             .unwrap();
-        r.make_visible(forbid.into(), vec![path("f")], tolerant, None, &mut sink)
+        r.make_visible(forbid.into(), vec![path("f")], tolerant, None, &mut out)
             .unwrap();
         (r, forbid, tolerant)
     }
@@ -1614,8 +1580,8 @@ mod tests {
         assert_eq!(r.meta.read().tolerated, HashSet::from([(tolerant, forbid)]));
         r.make_invisible(forbid.into(), tolerant, None).unwrap();
         assert!(r.meta.read().tolerated.is_empty());
-        let (_, mut sink) = collector();
-        r.make_visible(forbid.into(), vec![path("f")], tolerant, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(forbid.into(), vec![path("f")], tolerant, None, &mut out)
             .unwrap();
         r.destroy_space(tolerant, None).unwrap();
         assert!(r.meta.read().tolerated.is_empty());
@@ -1643,13 +1609,13 @@ mod tests {
         let parent = r.create_space(None);
         let child = r.create_space(None);
         let a = r.create_actor(child, None).unwrap();
-        let (_, mut sink) = collector();
+        let mut out = Vec::new();
         r.make_visible(
             MemberId::Space(child),
             vec![path("c")],
             parent,
             None,
-            &mut sink,
+            &mut out,
         )
         .unwrap();
         r.destroy_space(child, None).unwrap();
@@ -1677,12 +1643,12 @@ mod tests {
         let r = reg();
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let (_, mut sink) = collector();
-        r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(a.into(), vec![path("w")], s, None, &mut out)
             .unwrap();
-        r.send(&pattern("w"), s, "x", &mut sink).unwrap();
-        r.send(&pattern("w"), s, "y", &mut sink).unwrap();
-        r.broadcast(&pattern("w"), s, "z", &mut sink).unwrap();
+        r.send(&pattern("w"), s, "x", &mut out).unwrap();
+        r.send(&pattern("w"), s, "y", &mut out).unwrap();
+        r.broadcast(&pattern("w"), s, "z", &mut out).unwrap();
         let snap = r.obs().snapshot();
         assert_eq!(
             snap.counter_for_space(names::CORE_SPACE_SENDS, 0, s.0),
@@ -1705,10 +1671,10 @@ mod tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let b = r.create_actor(s, None).unwrap();
-        let (_, mut sink) = collector();
-        r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(a.into(), vec![path("w")], s, None, &mut out)
             .unwrap();
-        r.make_visible(b.into(), vec![path("w")], s, None, &mut sink)
+        r.make_visible(b.into(), vec![path("w")], s, None, &mut out)
             .unwrap();
         assert_eq!(r.purge_actor_range(a.0, b.0), 1);
         assert!(!r.actor_exists(a));
@@ -1723,8 +1689,8 @@ mod tests {
         let a = r.create_actor(s, None).unwrap();
         let keep = r.create_actor(ROOT_SPACE, None).unwrap();
         r.add_root(keep);
-        let (_, mut sink) = collector();
-        r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(a.into(), vec![path("w")], s, None, &mut out)
             .unwrap();
         let report = r.collect_garbage(&|_| Vec::new());
         assert_eq!(report.collected_spaces, vec![s]);
@@ -1736,7 +1702,7 @@ mod tests {
 
 #[cfg(test)]
 /// Creation, visibility, capability and destruction checks on the
-/// coordinator's tables (deliveries are dropped).
+/// coordinator's tables (deliveries are not inspected).
 mod topology_tests {
     use super::*;
     use actorspace_atoms::path;
@@ -1744,11 +1710,6 @@ mod topology_tests {
 
     fn reg() -> ShardedRegistry<u32> {
         ShardedRegistry::new(ManagerPolicy::default())
-    }
-
-    /// A sink that drops deliveries (these tests target structure only).
-    fn null_sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
-        |_, _, _| {}
     }
 
     #[test]
@@ -1774,8 +1735,8 @@ mod topology_tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let m = MemberId::Actor(a);
-        let mut sink = null_sink();
-        r.make_visible(m, vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(m, vec![path("w")], s, None, &mut out)
             .unwrap();
         assert!(r.with_space(s, |sp| sp.contains(m)).unwrap());
         assert_eq!(r.containers_of(m), vec![s]);
@@ -1817,19 +1778,19 @@ mod topology_tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, Some(&cap)).unwrap();
         let m = MemberId::Actor(a);
-        let mut sink = null_sink();
+        let mut out = Vec::new();
         // No capability → denied.
         assert!(matches!(
-            r.make_visible(m, vec![path("w")], s, None, &mut sink),
+            r.make_visible(m, vec![path("w")], s, None, &mut out),
             Err(Error::Denied(_))
         ));
         // Wrong capability → denied.
         assert!(matches!(
-            r.make_visible(m, vec![path("w")], s, Some(&wrong), &mut sink),
+            r.make_visible(m, vec![path("w")], s, Some(&wrong), &mut out),
             Err(Error::Denied(_))
         ));
         // Right capability → ok.
-        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut sink)
+        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut out)
             .unwrap();
         // Restricted capability lacking VISIBILITY → denied for invisibility.
         let weak = cap.restrict(Rights::ATTRIBUTES);
@@ -1848,15 +1809,15 @@ mod topology_tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, Some(&cap)).unwrap();
         let m = MemberId::Actor(a);
-        let mut sink = null_sink();
+        let mut out = Vec::new();
         // Not visible yet.
         assert!(matches!(
-            r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut sink),
+            r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut out),
             Err(Error::NotVisible { .. })
         ));
-        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut sink)
+        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut out)
             .unwrap();
-        r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut sink)
+        r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut out)
             .unwrap();
         assert_eq!(
             r.with_space(s, |sp| sp.members()[&m].clone()).unwrap(),
@@ -1865,7 +1826,7 @@ mod topology_tests {
         // VISIBILITY-only capability cannot change attributes.
         let weak = cap.restrict(Rights::VISIBILITY);
         assert!(matches!(
-            r.change_attributes(m, vec![path("y")], s, Some(&weak), &mut sink),
+            r.change_attributes(m, vec![path("y")], s, Some(&weak), &mut out),
             Err(Error::Denied(_))
         ));
     }
@@ -1875,9 +1836,9 @@ mod topology_tests {
         // §5.7: "we do not allow an actorSpace to be made visible in itself".
         let r = reg();
         let s = r.create_space(None);
-        let mut sink = null_sink();
+        let mut out = Vec::new();
         let err = r
-            .make_visible(MemberId::Space(s), vec![path("me")], s, None, &mut sink)
+            .make_visible(MemberId::Space(s), vec![path("me")], s, None, &mut out)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1895,13 +1856,13 @@ mod topology_tests {
         let a = r.create_space(None);
         let b = r.create_space(None);
         let c = r.create_space(None);
-        let mut sink = null_sink();
-        r.make_visible(MemberId::Space(a), vec![path("a")], b, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(MemberId::Space(a), vec![path("a")], b, None, &mut out)
             .unwrap();
-        r.make_visible(MemberId::Space(b), vec![path("b")], c, None, &mut sink)
+        r.make_visible(MemberId::Space(b), vec![path("b")], c, None, &mut out)
             .unwrap();
         let err = r
-            .make_visible(MemberId::Space(c), vec![path("c")], a, None, &mut sink)
+            .make_visible(MemberId::Space(c), vec![path("c")], a, None, &mut out)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1911,7 +1872,7 @@ mod topology_tests {
             }
         );
         // The non-cyclic direction still works: a may also be visible in c.
-        r.make_visible(MemberId::Space(a), vec![path("a2")], c, None, &mut sink)
+        r.make_visible(MemberId::Space(a), vec![path("a2")], c, None, &mut out)
             .unwrap();
     }
 
@@ -1924,10 +1885,10 @@ mod topology_tests {
         let s2 = r.create_space(None);
         let a = r.create_actor(s1, None).unwrap();
         let m = MemberId::Actor(a);
-        let mut sink = null_sink();
-        r.make_visible(m, vec![path("red")], s1, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(m, vec![path("red")], s1, None, &mut out)
             .unwrap();
-        r.make_visible(m, vec![path("blue")], s2, None, &mut sink)
+        r.make_visible(m, vec![path("blue")], s2, None, &mut out)
             .unwrap();
         assert_eq!(
             r.with_space(s1, |sp| sp.members()[&m].clone()).unwrap(),
@@ -1951,8 +1912,8 @@ mod topology_tests {
         let s = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
         let m = MemberId::Actor(a);
-        let mut sink = null_sink();
-        r.make_visible(m, vec![path("w")], s, None, &mut sink)
+        let mut out = Vec::new();
+        r.make_visible(m, vec![path("w")], s, None, &mut out)
             .unwrap();
         r.destroy_space(s, None).unwrap();
         assert!(!r.space_exists(s));
@@ -1967,13 +1928,13 @@ mod topology_tests {
         let r = reg();
         let parent = r.create_space(None);
         let child = r.create_space(None);
-        let mut sink = null_sink();
+        let mut out = Vec::new();
         r.make_visible(
             MemberId::Space(child),
             vec![path("c")],
             parent,
             None,
-            &mut sink,
+            &mut out,
         )
         .unwrap();
         r.destroy_space(child, None).unwrap();
@@ -2015,7 +1976,7 @@ mod topology_tests {
         let s = r.create_space(Some(&cap));
         let sub = r.create_space(None);
         let a = r.create_actor(s, None).unwrap();
-        let mut k = null_sink();
+        let mut k = Vec::new();
         r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
             .unwrap();
         r.make_visible(sub.into(), vec![path("sub")], s, None, &mut k)
@@ -2047,17 +2008,17 @@ mod topology_tests {
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(Veto), None).unwrap();
         let a = r.create_actor(s, None).unwrap();
-        let mut sink = null_sink();
+        let mut out = Vec::new();
         assert!(r
             .make_visible(
                 MemberId::Actor(a),
                 vec![path("secret/x")],
                 s,
                 None,
-                &mut sink
+                &mut out
             )
             .is_err());
-        r.make_visible(MemberId::Actor(a), vec![path("open/x")], s, None, &mut sink)
+        r.make_visible(MemberId::Actor(a), vec![path("open/x")], s, None, &mut out)
             .unwrap();
     }
 }

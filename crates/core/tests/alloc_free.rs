@@ -8,13 +8,16 @@
 //!   `Pattern::matches`) allocates nothing;
 //! - a `svc/*` resolve allocates as many times over 640 keys as over 64:
 //!   the walk's per-key work is allocation-free, and only the result
-//!   `Vec`'s growth (reallocations) depends on the answer's size.
+//!   `Vec`'s growth (reallocations) depends on the answer's size;
+//! - a warmed `send` into a reused buffer, and a warmed `resolve`, in a
+//!   space with no sub-spaces allocate at most twice, apart from that
+//!   growth.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use actorspace_atoms::{atom, path, Atom};
-use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, SpaceId};
+use actorspace_core::{policy::ManagerPolicy, Disposition, ShardedRegistry, SpaceId};
 use actorspace_pattern::{matcher::INLINE_STATES, pattern, Pattern};
 
 struct Counting;
@@ -112,7 +115,7 @@ fn the_counter_sees_heap_state_sets() {
 fn replicas(n: usize) -> (ShardedRegistry<u64>, SpaceId) {
     let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let space = reg.create_space(None);
-    let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
+    let mut out = Vec::new();
     for r in 0..n {
         let a = reg.create_actor(space, None).unwrap();
         reg.make_visible(
@@ -120,7 +123,7 @@ fn replicas(n: usize) -> (ShardedRegistry<u64>, SpaceId) {
             vec![path(&format!("svc/r{r}"))],
             space,
             None,
-            &mut sink,
+            &mut out,
         )
         .unwrap();
     }
@@ -146,6 +149,7 @@ fn a_wildcard_resolve_allocates_independently_of_its_key_count() {
         small, large,
         "svc/* allocated {small} times over 64 keys but {large} times over 640"
     );
+    assert!(small <= 2, "svc/* allocated {small} times over 64 keys");
     // Growth of the result Vec: one reallocation per doubling.
     assert!(
         small_growth <= 6,
@@ -155,4 +159,31 @@ fn a_wildcard_resolve_allocates_independently_of_its_key_count() {
         large_growth <= 9,
         "{large_growth} reallocations over 640 keys"
     );
+}
+
+/// A warmed `send` into a reused buffer, and a warmed `resolve`, make only
+/// the resolution's own allocations (reallocations — the result `Vec`'s
+/// growth — aside): the scope has no sub-spaces, so one shard is locked
+/// with no lock-set bookkeeping, and the delivery's `Route` shares the
+/// pattern's compiled body instead of copying it.
+#[test]
+fn warmed_sends_and_resolves_allocate_at_most_twice() {
+    let (reg, space) = replicas(64);
+    let mut out = Vec::new();
+    for pat in [pattern("svc/r7"), pattern("svc/*")] {
+        reg.send(&pat, space, 0, &mut out).unwrap();
+        out.clear();
+        let (d, allocs, _) = counted(|| reg.send(&pat, space, 1, &mut out).unwrap());
+        assert_eq!(d, Disposition::Delivered(1));
+        assert!(
+            allocs <= 2,
+            "a warmed send of {pat} allocated {allocs} times"
+        );
+        let (found, allocs, _) = counted(|| reg.resolve(&pat, space).unwrap());
+        assert!(!found.is_empty());
+        assert!(
+            allocs <= 2,
+            "a warmed resolve of {pat} allocated {allocs} times"
+        );
+    }
 }

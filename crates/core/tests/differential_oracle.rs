@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 use actorspace_atoms::{path, Path};
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, GcReport, MemberId, Result, Route, ShardedRegistry, SpaceId, SpaceInfo,
+    ActorId, Disposition, GcReport, MemberId, Result, ShardedRegistry, SpaceId, SpaceInfo,
     ROOT_SPACE,
 };
 use actorspace_pattern::{pattern, Pattern};
@@ -195,8 +195,10 @@ impl Coordinator for ShardedRegistry<Msg> {
         space: SpaceId,
         out: &mut Deliveries,
     ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        ShardedRegistry::make_visible(self, member, attrs, space, None, &mut sink)
+        let mut buf = Vec::new();
+        let r = ShardedRegistry::make_visible(self, member, attrs, space, None, &mut buf);
+        out.extend(buf.into_iter().map(|d| (d.to, d.msg)));
+        r
     }
     fn make_invisible(&mut self, member: MemberId, space: SpaceId) -> Result<()> {
         ShardedRegistry::make_invisible(self, member, space, None)
@@ -208,8 +210,10 @@ impl Coordinator for ShardedRegistry<Msg> {
         space: SpaceId,
         out: &mut Deliveries,
     ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        ShardedRegistry::change_attributes(self, member, attrs, space, None, &mut sink)
+        let mut buf = Vec::new();
+        let r = ShardedRegistry::change_attributes(self, member, attrs, space, None, &mut buf);
+        out.extend(buf.into_iter().map(|d| (d.to, d.msg)));
+        r
     }
     fn destroy_space(&mut self, space: SpaceId) -> Result<()> {
         ShardedRegistry::destroy_space(self, space, None)
@@ -221,8 +225,10 @@ impl Coordinator for ShardedRegistry<Msg> {
         msg: Msg,
         out: &mut Deliveries,
     ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        ShardedRegistry::send(self, pattern, scope, msg, &mut sink)
+        let mut buf = Vec::new();
+        let r = ShardedRegistry::send(self, pattern, scope, msg, &mut buf);
+        out.extend(buf.into_iter().map(|d| (d.to, d.msg)));
+        r
     }
     fn broadcast(
         &mut self,
@@ -231,8 +237,10 @@ impl Coordinator for ShardedRegistry<Msg> {
         msg: Msg,
         out: &mut Deliveries,
     ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        ShardedRegistry::broadcast(self, pattern, scope, msg, &mut sink)
+        let mut buf = Vec::new();
+        let r = ShardedRegistry::broadcast(self, pattern, scope, msg, &mut buf);
+        out.extend(buf.into_iter().map(|d| (d.to, d.msg)));
+        r
     }
     fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize> {
         ShardedRegistry::cancel_persistent(self, space, None)

@@ -1,47 +1,71 @@
 //! Seeded re-entrancy violation against the *real* sharded coordinator: a
-//! delivery sink that calls back into the registry is reported by name —
-//! before any lock is touched, so the test panics instead of deadlocking.
+//! space manager whose `choose` calls back into the registry is reported by
+//! name — before any lock is touched, so the test panics instead of
+//! deadlocking. Manager callbacks take part in the delivery decision, so
+//! they run under the coordinator's meta + shard locks.
 //!
 //! Compiled out without `--features lockcheck`.
 #![cfg(feature = "lockcheck")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Weak};
 
 use actorspace_atoms::path;
-use actorspace_core::{ManagerPolicy, ShardedRegistry};
+use actorspace_core::{ActorId, Manager, ManagerPolicy, ShardedRegistry, SpaceId};
 use actorspace_pattern::pattern;
 
+type Reg = ShardedRegistry<&'static str>;
+
+/// Asks the registry it manages a space of whether that space exists — the
+/// re-entry under test.
+struct Reentrant {
+    reg: Weak<Reg>,
+    space: SpaceId,
+}
+
+impl Manager for Reentrant {
+    fn choose(&mut self, candidates: &[ActorId]) -> Option<ActorId> {
+        if let Some(reg) = self.reg.upgrade() {
+            let _ = reg.space_exists(self.space);
+        }
+        candidates.first().copied()
+    }
+}
+
 #[test]
-fn sink_reentering_coordinator_is_reported() {
-    let r: ShardedRegistry<&'static str> = ShardedRegistry::new(ManagerPolicy::default());
+fn manager_reentering_coordinator_is_reported() {
+    let r: Arc<Reg> = Arc::new(ShardedRegistry::new(ManagerPolicy::default()));
     let s = r.create_space(None);
     let a = r.create_actor(s, None).unwrap();
-    let mut ok_sink = |_to, _msg, _route: Option<&_>| {};
-    r.make_visible(a.into(), vec![path("w")], s, None, &mut ok_sink)
+    let mut out = Vec::new();
+    r.make_visible(a.into(), vec![path("w")], s, None, &mut out)
         .unwrap();
+    let manager = Reentrant {
+        reg: Arc::downgrade(&r),
+        space: s,
+    };
+    r.set_space_manager(s, Box::new(manager), None).unwrap();
 
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let mut reentrant = |_to, _msg, _route: Option<&_>| {
-            // Sinks run with meta + shard locks held; re-entering the
-            // coordinator from here would self-deadlock on a real mutex.
-            let _ = r.space_exists(s);
-        };
-        r.send(&pattern("w"), s, "job", &mut reentrant)
+        r.send(&pattern("w"), s, "job", &mut out)
     }))
-    .expect_err("re-entrant sink must be reported");
+    .expect_err("re-entrant manager must be reported");
 
     let msg = err
         .downcast_ref::<String>()
         .cloned()
         .expect("lockcheck panics carry a string report");
     assert!(msg.contains("re-entrancy violation"), "got: {msg}");
-    // Both sides are named: the coordinator op the sink tried to enter and
-    // the callback section it was invoked from, each with its site.
+    // Both sides are named: the coordinator op the manager tried to enter
+    // and the callback section it was invoked from, each with its site.
     assert!(
         msg.contains("ShardedRegistry::space_exists"),
         "re-entered op named: {msg}"
     );
-    assert!(msg.contains("`sink`"), "callback label named: {msg}");
+    assert!(
+        msg.contains("`Manager::choose`"),
+        "callback label named: {msg}"
+    );
     assert!(
         msg.contains("shard.rs"),
         "acquisition sites point into the coordinator: {msg}"

@@ -131,7 +131,7 @@ fn run_ops(ops: &[Op]) -> (Reg, Vec<SpaceId>, Vec<ActorId>) {
     let actors: Vec<ActorId> = (0..6)
         .map(|_| r.create_actor(ROOT_SPACE, None).unwrap())
         .collect();
-    let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+    let mut sink = Vec::new();
     for op in ops {
         match *op {
             Op::MakeActorVisible { actor, space, attr } => {
@@ -303,7 +303,7 @@ proptest! {
 
         let mut received: HashMap<ActorId, u32> = HashMap::new();
         {
-            let mut sink = |a: ActorId, _m: u64, _: Option<&actorspace_core::Route>| { *received.entry(a).or_insert(0) += 1; };
+            let mut sink = Vec::new();
             let d = r.broadcast(&pattern("node"), s, 42, &mut sink).unwrap();
             prop_assert_eq!(d, Disposition::Persistent(0));
             for &(idx, arrive) in &arrivals {
@@ -313,6 +313,9 @@ proptest! {
                 } else {
                     let _ = r.make_invisible(actors[idx].into(), s, None);
                 }
+            }
+            for d in sink {
+                *received.entry(d.to).or_insert(0) += 1;
             }
         }
         // Every actor that was ever made visible got the message exactly once.

@@ -26,7 +26,7 @@ use std::time::Duration;
 use actorspace_atoms::path;
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, Route, ShardedRegistry, SpaceId,
+    ActorId, Delivery, Disposition, ShardedRegistry, SpaceId,
 };
 use actorspace_pattern::pattern;
 
@@ -63,13 +63,13 @@ fn parallel_sends_lose_and_duplicate_nothing() {
     // visible in the shared space. Everything hangs off ROOT_SPACE so the
     // mid-run GC passes never reap live state.
     let mut privates = Vec::new();
-    let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
+    let mut out = Vec::new();
     reg.make_visible(
         shared.into(),
         vec![path("shared")],
         actorspace_core::ROOT_SPACE,
         None,
-        &mut sink,
+        &mut out,
     )
     .unwrap();
     for _ in 0..THREADS {
@@ -80,17 +80,17 @@ fn parallel_sends_lose_and_duplicate_nothing() {
             vec![path("pool")],
             actorspace_core::ROOT_SPACE,
             None,
-            &mut sink,
+            &mut out,
         )
         .unwrap();
-        reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
+        reg.make_visible(a.into(), vec![path("worker")], s, None, &mut out)
             .unwrap();
         reg.make_visible(
             a.into(),
             vec![path("shared/worker")],
             shared,
             None,
-            &mut sink,
+            &mut out,
         )
         .unwrap();
         privates.push((s, a));
@@ -116,30 +116,26 @@ fn parallel_sends_lose_and_duplicate_nothing() {
         let privates = privates.clone();
         handles.push(thread::spawn(move || {
             let (own_space, own_actor) = privates[t as usize];
-            let mut log: Vec<(ActorId, u64)> = Vec::new();
+            let mut out: Vec<Delivery<u64>> = Vec::new();
             let mut shared_delivered_claim = 0u64;
             for seq in 0..ITERS {
-                {
-                    let mut sink = |to: ActorId, m: u64, _: Option<&Route>| log.push((to, m));
-                    // Private-space send: must deliver to own actor, now.
-                    let d = reg
-                        .send(&pattern("worker"), own_space, msg(t, seq), &mut sink)
-                        .unwrap();
-                    assert_eq!(d, Disposition::Delivered(1), "thread {t} seq {seq}");
-                }
+                // Private-space send: must deliver to own actor, now.
+                let d = reg
+                    .send(&pattern("worker"), own_space, msg(t, seq), &mut out)
+                    .unwrap();
+                assert_eq!(d, Disposition::Delivered(1), "thread {t} seq {seq}");
 
                 // Shared-space churn: flip a *different* thread's actor in
                 // and out of the shared space, so membership writes and
                 // broadcasts race across shards.
                 let victim = privates[((t + 1) % THREADS) as usize].1;
-                let mut sink = |to: ActorId, m: u64, _: Option<&Route>| log.push((to, m));
                 if seq % 3 == 0 {
                     let _ = reg.make_visible(
                         victim.into(),
                         vec![path("shared/worker")],
                         shared,
                         None,
-                        &mut sink,
+                        &mut out,
                     );
                 } else if seq % 3 == 1 {
                     let _ = reg.make_invisible(victim.into(), shared, None);
@@ -150,7 +146,7 @@ fn parallel_sends_lose_and_duplicate_nothing() {
                             &pattern("shared/*"),
                             shared,
                             msg(t, seq) + 500_000,
-                            &mut sink,
+                            &mut out,
                         )
                         .unwrap();
                     if let Disposition::Delivered(n) = d {
@@ -167,7 +163,7 @@ fn parallel_sends_lose_and_duplicate_nothing() {
                     let hi = privates[(t as usize).max((t as usize + 1) % THREADS as usize)].0;
                     let (child, parent) = if t % 2 == 0 { (lo, hi) } else { (hi, lo) };
                     let _ =
-                        reg.make_visible(child.into(), vec![path("peer")], parent, None, &mut sink);
+                        reg.make_visible(child.into(), vec![path("peer")], parent, None, &mut out);
                     let _ = reg.make_invisible(child.into(), parent, None);
                 }
 
@@ -176,8 +172,7 @@ fn parallel_sends_lose_and_duplicate_nothing() {
                 // threads may be resolving through it.
                 if seq % 11 == 0 {
                     let tmp = reg.create_space(None);
-                    let _ =
-                        reg.make_visible(tmp.into(), vec![path("tmp")], shared, None, &mut sink);
+                    let _ = reg.make_visible(tmp.into(), vec![path("tmp")], shared, None, &mut out);
                     let _ = reg.destroy_space(tmp, None);
                 }
                 if seq % 97 == 0 {
@@ -185,6 +180,7 @@ fn parallel_sends_lose_and_duplicate_nothing() {
                 }
             }
             let _ = own_actor;
+            let log: Vec<(ActorId, u64)> = out.into_iter().map(|d| (d.to, d.msg)).collect();
             (log, shared_delivered_claim)
         }));
     }
@@ -275,8 +271,8 @@ fn opposing_visibility_writers_do_not_deadlock() {
                     continue;
                 }
                 let (child, parent) = if t % 2 == 0 { (a, b) } else { (b, a) };
-                let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
-                let _ = reg.make_visible(child.into(), vec![path("x")], parent, None, &mut sink);
+                let mut out = Vec::new();
+                let _ = reg.make_visible(child.into(), vec![path("x")], parent, None, &mut out);
                 let _ = reg.make_invisible(child.into(), parent, None);
             }
         }));

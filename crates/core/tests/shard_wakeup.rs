@@ -16,7 +16,7 @@ use actorspace_atoms::path;
 use actorspace_core::{
     obs::names,
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, Route, ShardedRegistry,
+    ActorId, Delivery, Disposition, ShardedRegistry,
 };
 use actorspace_pattern::pattern;
 
@@ -29,15 +29,9 @@ fn policy(unmatched: UnmatchedPolicy) -> ManagerPolicy {
     }
 }
 
-type Log = std::rc::Rc<std::cell::RefCell<Vec<(ActorId, &'static str)>>>;
-
-fn collector() -> (Log, impl FnMut(ActorId, &'static str, Option<&Route>)) {
-    let log: Log = Default::default();
-    let sink = {
-        let log = log.clone();
-        move |a: ActorId, m: &'static str, _: Option<&Route>| log.borrow_mut().push((a, m))
-    };
-    (log, sink)
+/// The `(recipient, message)` pairs of a delivery buffer.
+fn pairs(out: &[Delivery<&'static str>]) -> Vec<(ActorId, &'static str)> {
+    out.iter().map(|d| (d.to, d.msg)).collect()
 }
 
 /// A send suspended in a *parent* space is woken by a `make_visible` in a
@@ -46,28 +40,28 @@ fn collector() -> (Log, impl FnMut(ActorId, &'static str, Option<&Route>)) {
 #[test]
 fn make_visible_in_child_wakes_send_suspended_in_parent() {
     let r: ShardedRegistry<&str> = ShardedRegistry::new(policy(UnmatchedPolicy::Suspend));
-    let (log, mut sink) = collector();
+    let mut out = Vec::new();
 
     let parent = r.create_space(None);
     let child = r.create_space(None);
-    r.make_visible(child.into(), vec![path("c")], parent, None, &mut sink)
+    r.make_visible(child.into(), vec![path("c")], parent, None, &mut out)
         .unwrap();
 
     // No member of `child` matches yet: the send parks in `parent`.
     let d = r
-        .send(&pattern("c/worker"), parent, "job", &mut sink)
+        .send(&pattern("c/worker"), parent, "job", &mut out)
         .unwrap();
     assert_eq!(d, Disposition::Suspended);
     assert_eq!(r.space_info(parent).unwrap().pending_messages, 1);
-    assert!(log.borrow().is_empty());
+    assert!(out.is_empty());
 
     // The arrival happens in `child`'s shard; the suspended queue lives in
     // `parent`'s. The wake lock-set must span both.
     let a = r.create_actor(child, None).unwrap();
-    r.make_visible(a.into(), vec![path("worker")], child, None, &mut sink)
+    r.make_visible(a.into(), vec![path("worker")], child, None, &mut out)
         .unwrap();
 
-    assert_eq!(log.borrow().as_slice(), &[(a, "job")]);
+    assert_eq!(pairs(&out).as_slice(), &[(a, "job")]);
     assert_eq!(r.space_info(parent).unwrap().pending_messages, 0);
 }
 
@@ -76,24 +70,24 @@ fn make_visible_in_child_wakes_send_suspended_in_parent() {
 #[test]
 fn wake_traverses_transitive_ancestors_across_shards() {
     let r: ShardedRegistry<&str> = ShardedRegistry::new(policy(UnmatchedPolicy::Suspend));
-    let (log, mut sink) = collector();
+    let mut out = Vec::new();
 
     let top = r.create_space(None);
     let mid = r.create_space(None);
     let leaf = r.create_space(None);
-    r.make_visible(mid.into(), vec![path("m")], top, None, &mut sink)
+    r.make_visible(mid.into(), vec![path("m")], top, None, &mut out)
         .unwrap();
-    r.make_visible(leaf.into(), vec![path("l")], mid, None, &mut sink)
+    r.make_visible(leaf.into(), vec![path("l")], mid, None, &mut out)
         .unwrap();
 
-    let d = r.send(&pattern("m/l/**"), top, "deep", &mut sink).unwrap();
+    let d = r.send(&pattern("m/l/**"), top, "deep", &mut out).unwrap();
     assert_eq!(d, Disposition::Suspended);
 
     let a = r.create_actor(leaf, None).unwrap();
-    r.make_visible(a.into(), vec![path("fib")], leaf, None, &mut sink)
+    r.make_visible(a.into(), vec![path("fib")], leaf, None, &mut out)
         .unwrap();
 
-    assert_eq!(log.borrow().as_slice(), &[(a, "deep")]);
+    assert_eq!(pairs(&out).as_slice(), &[(a, "deep")]);
     assert_eq!(r.space_info(top).unwrap().pending_messages, 0);
 }
 
@@ -102,32 +96,32 @@ fn wake_traverses_transitive_ancestors_across_shards() {
 #[test]
 fn one_arrival_wakes_overlapping_scopes() {
     let r: ShardedRegistry<&str> = ShardedRegistry::new(policy(UnmatchedPolicy::Suspend));
-    let (log, mut sink) = collector();
+    let mut out = Vec::new();
 
     let left = r.create_space(None);
     let right = r.create_space(None);
     let hub = r.create_space(None);
-    r.make_visible(hub.into(), vec![path("hub")], left, None, &mut sink)
+    r.make_visible(hub.into(), vec![path("hub")], left, None, &mut out)
         .unwrap();
-    r.make_visible(hub.into(), vec![path("hub")], right, None, &mut sink)
+    r.make_visible(hub.into(), vec![path("hub")], right, None, &mut out)
         .unwrap();
 
     assert_eq!(
-        r.send(&pattern("hub/w"), left, "from-left", &mut sink)
+        r.send(&pattern("hub/w"), left, "from-left", &mut out)
             .unwrap(),
         Disposition::Suspended
     );
     assert_eq!(
-        r.send(&pattern("hub/w"), right, "from-right", &mut sink)
+        r.send(&pattern("hub/w"), right, "from-right", &mut out)
             .unwrap(),
         Disposition::Suspended
     );
 
     let a = r.create_actor(hub, None).unwrap();
-    r.make_visible(a.into(), vec![path("w")], hub, None, &mut sink)
+    r.make_visible(a.into(), vec![path("w")], hub, None, &mut out)
         .unwrap();
 
-    let mut got = log.borrow().clone();
+    let mut got = pairs(&out);
     got.sort();
     assert_eq!(got, vec![(a, "from-left"), (a, "from-right")]);
     assert_eq!(r.space_info(left).unwrap().pending_messages, 0);
@@ -140,43 +134,41 @@ fn one_arrival_wakes_overlapping_scopes() {
 #[test]
 fn persistent_broadcast_catches_up_across_shards() {
     let r: ShardedRegistry<&str> = ShardedRegistry::new(policy(UnmatchedPolicy::Persistent));
-    let (log, mut sink) = collector();
+    let mut out = Vec::new();
 
     let top = r.create_space(None);
     let nest = r.create_space(None);
-    r.make_visible(nest.into(), vec![path("n")], top, None, &mut sink)
+    r.make_visible(nest.into(), vec![path("n")], top, None, &mut out)
         .unwrap();
 
-    let d = r
-        .broadcast(&pattern("n/*"), top, "memo", &mut sink)
-        .unwrap();
+    let d = r.broadcast(&pattern("n/*"), top, "memo", &mut out).unwrap();
     assert_eq!(d, Disposition::Persistent(0));
     assert_eq!(r.space_info(top).unwrap().persistent_broadcasts, 1);
 
     // First arrival in the nested shard: delivered on arrival.
     let a = r.create_actor(nest, None).unwrap();
-    r.make_visible(a.into(), vec![path("w")], nest, None, &mut sink)
+    r.make_visible(a.into(), vec![path("w")], nest, None, &mut out)
         .unwrap();
-    assert_eq!(log.borrow().as_slice(), &[(a, "memo")]);
+    assert_eq!(pairs(&out).as_slice(), &[(a, "memo")]);
 
     // Churn: leaving and re-arriving must not redeliver.
     r.make_invisible(a.into(), nest, None).unwrap();
-    r.make_visible(a.into(), vec![path("w")], nest, None, &mut sink)
+    r.make_visible(a.into(), vec![path("w")], nest, None, &mut out)
         .unwrap();
-    assert_eq!(log.borrow().len(), 1);
+    assert_eq!(out.len(), 1);
 
     // A second, later arrival still catches up.
     let b = r.create_actor(nest, None).unwrap();
-    r.make_visible(b.into(), vec![path("v")], nest, None, &mut sink)
+    r.make_visible(b.into(), vec![path("v")], nest, None, &mut out)
         .unwrap();
-    assert_eq!(log.borrow().as_slice(), &[(a, "memo"), (b, "memo")]);
+    assert_eq!(pairs(&out).as_slice(), &[(a, "memo"), (b, "memo")]);
 
     // Cancelling clears the table; a third arrival gets nothing.
     assert_eq!(r.cancel_persistent(top, None).unwrap(), 1);
     let c = r.create_actor(nest, None).unwrap();
-    r.make_visible(c.into(), vec![path("w")], nest, None, &mut sink)
+    r.make_visible(c.into(), vec![path("w")], nest, None, &mut out)
         .unwrap();
-    assert_eq!(log.borrow().len(), 2);
+    assert_eq!(out.len(), 2);
 }
 
 /// E12 exact-prefix index accounting, per space, over a known lookup
@@ -187,34 +179,34 @@ fn index_hit_miss_counters_follow_known_sequence() {
     // Discard policy so misses don't park state that later ops would wake
     // (wakes would re-resolve and perturb the counts under test).
     let r: ShardedRegistry<&str> = ShardedRegistry::new(policy(UnmatchedPolicy::Discard));
-    let (_, mut sink) = collector();
+    let mut out = Vec::new();
 
     let s1 = r.create_space(None);
     let s2 = r.create_space(None);
     let a = r.create_actor(s1, None).unwrap();
-    r.make_visible(a.into(), vec![path("w")], s1, None, &mut sink)
+    r.make_visible(a.into(), vec![path("w")], s1, None, &mut out)
         .unwrap();
 
     // Known sequence: literal hit, literal miss, wildcard (uncounted),
     // literal miss in the other space, literal broadcast hit.
     assert_eq!(
-        r.send(&pattern("w"), s1, "1", &mut sink).unwrap(),
+        r.send(&pattern("w"), s1, "1", &mut out).unwrap(),
         Disposition::Delivered(1)
     ); // s1 hits = 1
     assert_eq!(
-        r.send(&pattern("absent"), s1, "2", &mut sink).unwrap(),
+        r.send(&pattern("absent"), s1, "2", &mut out).unwrap(),
         Disposition::Discarded
     ); // s1 misses = 1
     assert_eq!(
-        r.send(&pattern("*"), s1, "3", &mut sink).unwrap(),
+        r.send(&pattern("*"), s1, "3", &mut out).unwrap(),
         Disposition::Delivered(1)
     ); // wildcard: no index traffic
     assert_eq!(
-        r.send(&pattern("w"), s2, "4", &mut sink).unwrap(),
+        r.send(&pattern("w"), s2, "4", &mut out).unwrap(),
         Disposition::Discarded
     ); // s2 misses = 1
     assert_eq!(
-        r.broadcast(&pattern("w"), s1, "5", &mut sink).unwrap(),
+        r.broadcast(&pattern("w"), s1, "5", &mut out).unwrap(),
         Disposition::Delivered(1)
     ); // s1 hits = 2
 

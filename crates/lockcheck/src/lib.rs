@@ -2,7 +2,7 @@
 //!
 //! The sharded coordinator (`actorspace-core::shard`) is deadlock-free by
 //! *convention*: meta before shards, shards in ascending `SpaceId` order,
-//! sinks and manager callbacks never re-entering the coordinator. Those
+//! manager callbacks never re-entering the coordinator. Those
 //! rules used to live only in doc comments. This crate checks them — and
 //! the lock ordering of every other lock in the workspace — mechanically,
 //! in the style of the Linux kernel's lockdep:
@@ -22,7 +22,8 @@
 //!   ascending `SpaceId` order, the meta lock may never follow a shard,
 //!   and no lock may be re-acquired while already held by the same thread.
 //! - [`enter_coordinator`] / [`enter_callback`] mark coordinator entry
-//!   points and sink/manager callback regions; entering the coordinator
+//!   points and callback regions (space managers, the collector's
+//!   `acquaintances`); entering the coordinator
 //!   from inside a callback is reported as a re-entrancy violation before
 //!   any lock is touched (so the report is a panic, not a deadlock).
 //!
@@ -617,7 +618,7 @@ pub struct CoordinatorSection {}
 
 /// Marks the current thread as executing a coordinator operation until
 /// the returned section is dropped. If the thread is inside a
-/// sink/manager callback region ([`enter_callback`]), the re-entrancy is
+/// callback region ([`enter_callback`]), the re-entrancy is
 /// reported *before any lock is acquired* — a panic naming both entry
 /// sites rather than a silent deadlock on the coordinator's own locks.
 /// At the outermost section exit, the thread must hold no coordinator
@@ -636,7 +637,7 @@ pub fn enter_coordinator(_op: &'static str) -> CoordinatorSection {
     CoordinatorSection {}
 }
 
-/// RAII marker for a sink/manager callback region; see
+/// RAII marker for a callback region; see
 /// [`enter_callback`].
 #[cfg(feature = "lockcheck")]
 pub struct CallbackSection {
@@ -650,14 +651,14 @@ impl Drop for CallbackSection {
     }
 }
 
-/// RAII marker for a sink/manager callback region; see
+/// RAII marker for a callback region; see
 /// [`enter_callback`].
 #[cfg(not(feature = "lockcheck"))]
 pub struct CallbackSection {}
 
 /// Marks the current thread as executing externally supplied code on
-/// behalf of the coordinator (a delivery sink or a space-manager
-/// callback) until the returned section is dropped. Coordinator entry
+/// behalf of the coordinator (a space-manager callback, or the garbage
+/// collector's `acquaintances`) until the returned section is dropped. Coordinator entry
 /// from inside such a region is a protocol violation.
 #[cfg(feature = "lockcheck")]
 #[track_caller]
@@ -959,7 +960,7 @@ mod check {
             if let Some(cb) = cbs.last() {
                 die(format!(
                     "lockcheck: re-entrancy violation: coordinator op `{op}` entered at {site} \
-                     from inside callback `{}` entered at {}; sinks and manager callbacks must \
+                     from inside callback `{}` entered at {}; callbacks must \
                      not re-enter the coordinator",
                     cb.label, cb.site,
                 ));
@@ -1337,6 +1338,6 @@ mod tests {
             let _ga = a.lock();
         }
         let _c = enter_coordinator("op");
-        let _cb = enter_callback("sink");
+        let _cb = enter_callback("callback");
     }
 }

@@ -1011,7 +1011,7 @@ fn apply_op(system: &ActorSystem, me: NodeId, op: BusOp, errors: &AtomicU64) {
             space,
             cap,
         } => system
-            .with_registry(|reg, sink| reg.make_visible(member, attrs, space, cap.as_ref(), sink)),
+            .with_registry(|reg, out| reg.make_visible(member, attrs, space, cap.as_ref(), out)),
         BusOp::MakeInvisible { member, space, cap } => {
             system.with_registry(|reg, _| reg.make_invisible(member, space, cap.as_ref()))
         }
@@ -1020,8 +1020,8 @@ fn apply_op(system: &ActorSystem, me: NodeId, op: BusOp, errors: &AtomicU64) {
             attrs,
             space,
             cap,
-        } => system.with_registry(|reg, sink| {
-            reg.change_attributes(member, attrs, space, cap.as_ref(), sink)
+        } => system.with_registry(|reg, out| {
+            reg.change_attributes(member, attrs, space, cap.as_ref(), out)
         }),
         BusOp::DestroySpace { space, cap } => {
             system.with_registry(|reg, _| reg.destroy_space(space, cap.as_ref()))
@@ -1166,9 +1166,11 @@ impl CoordinatorHook for ClusterHook {
 /// over the reliable pipe to the owning node. Messages bound for a
 /// suspected node — or for a local actor whose cell is gone (purged with a
 /// dead incarnation) — are *bounced* to the cluster's re-resolution queue
-/// instead, when their route permits it. Bouncing is asynchronous by
-/// design: this method runs inside registry resolution, so re-resolving
-/// here would deadlock.
+/// instead, when their route permits it. The cluster service thread
+/// re-resolves bounced messages on a surviving node, from the same queue
+/// the journal drains of suspected nodes feed. The uplink runs after
+/// registry resolution has dropped its locks, so it could re-resolve
+/// inline; it bounces so that both sources share one failover path.
 struct NodeUplink {
     me: NodeId,
     obs: Arc<Obs>,

@@ -55,8 +55,11 @@ pub mod parse;
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use actorspace_atoms::{Atom, Path};
+
+use nfa::Trans;
 
 pub use ast::Ast;
 pub use matcher::StateSet;
@@ -67,14 +70,20 @@ pub use parse::ParseError;
 ///
 /// `Pattern` owns both the AST (for display, analysis, and lattice
 /// operations) and the compiled NFA (for matching), plus the literal run
-/// read once from the AST (for seeking ordered attribute indexes).
+/// read once from the AST (for seeking ordered attribute indexes). It is
+/// immutable, so clones share one compiled body: cloning a pattern into a
+/// delivery's route or a suspended send costs a reference count.
 #[derive(Clone)]
-pub struct Pattern {
+pub struct Pattern(Arc<Compiled>);
+
+struct Compiled {
     ast: Ast,
     nfa: Nfa,
     text: String,
     run: Box<[Atom]>,
     literal: bool,
+    /// Every atom a transition label names, sorted.
+    named: Box<[Atom]>,
 }
 
 impl Pattern {
@@ -93,13 +102,27 @@ impl Pattern {
     fn from_ast_with_text(ast: Ast, text: String) -> Pattern {
         let nfa = nfa::compile(&ast);
         let (run, literal) = ast.literal_run();
-        Pattern {
+        let mut named: Vec<Atom> = nfa
+            .states()
+            .iter()
+            .flat_map(|s| &s.trans)
+            .flat_map(|(label, _)| match label {
+                Trans::Atom(a) => std::slice::from_ref(a),
+                Trans::In(set) | Trans::NotIn(set) => set.as_slice(),
+                Trans::Any => &[],
+            })
+            .copied()
+            .collect();
+        named.sort_unstable();
+        named.dedup();
+        Pattern(Arc::new(Compiled {
             ast,
             nfa,
             text,
             run: run.into_boxed_slice(),
             literal,
-        }
+            named: named.into_boxed_slice(),
+        }))
     }
 
     /// The pattern matching *any* attribute — the paper's `*` in
@@ -111,63 +134,70 @@ impl Pattern {
 
     /// Whether this pattern matches an entire attribute path.
     pub fn matches(&self, path: &Path) -> bool {
-        matcher::matches(&self.nfa, path.atoms())
+        matcher::matches(&self.0.nfa, path.atoms())
     }
 
     /// Starts an incremental match (used to walk nested actorSpaces without
     /// materializing joined attribute paths).
     pub fn start(&self) -> StateSet {
-        matcher::start(&self.nfa)
+        matcher::start(&self.0.nfa)
     }
 
     /// The compiled NFA.
     pub fn nfa(&self) -> &Nfa {
-        &self.nfa
+        &self.0.nfa
     }
 
     /// The pattern's AST.
     pub fn ast(&self) -> &Ast {
-        &self.ast
+        &self.0.ast
     }
 
     /// The original (or regenerated) pattern text.
     pub fn text(&self) -> &str {
-        &self.text
+        &self.0.text
     }
 
     /// The leading literal atoms every matching path starts with (see
     /// [`Ast::literal_run`]).
     pub fn literal_run(&self) -> &[Atom] {
-        &self.run
+        &self.0.run
+    }
+
+    /// Whether some transition label names `atom`. Every label treats the
+    /// atoms no label names alike, so [`StateSet::advance`] gives one state
+    /// set the same successor for all of them.
+    pub fn names(&self, atom: Atom) -> bool {
+        self.0.named.binary_search(&atom).is_ok()
     }
 
     /// True if the pattern matches exactly one literal path (no wildcards,
     /// classes, alternation, or repetition): its literal run.
     pub fn is_literal(&self) -> bool {
-        self.literal
+        self.0.literal
     }
 
     /// True if no path whatsoever can match this pattern.
     pub fn is_empty_language(&self) -> bool {
-        !matcher::is_satisfiable(&self.nfa)
+        !matcher::is_satisfiable(&self.0.nfa)
     }
 
     /// True if some path matches both `self` and `other`. Decidable for all
     /// patterns (product-NFA emptiness over an open alphabet).
     pub fn may_overlap(&self, other: &Pattern) -> bool {
-        matcher::intersects(&self.nfa, &other.nfa)
+        matcher::intersects(&self.0.nfa, &other.0.nfa)
     }
 }
 
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
+        f.write_str(&self.0.text)
     }
 }
 
 impl fmt::Debug for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Pattern({})", self.text)
+        write!(f, "Pattern({})", self.0.text)
     }
 }
 
@@ -181,7 +211,7 @@ impl FromStr for Pattern {
 impl PartialEq for Pattern {
     /// Structural equality on the AST (not language equivalence).
     fn eq(&self, other: &Self) -> bool {
-        self.ast == other.ast
+        self.0.ast == other.0.ast
     }
 }
 

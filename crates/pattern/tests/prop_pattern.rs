@@ -171,6 +171,30 @@ proptest! {
         prop_assert_eq!(pat.matches(&path), oracle(&ast, &p));
     }
 
+    /// Every atom no transition label names steps each reachable state set
+    /// to the same successor, and an atom whose successor differs from
+    /// theirs is one `Pattern::names` reports: the premise that lets a
+    /// resolution scan step once for all keys whose next atom is unnamed.
+    #[test]
+    fn unnamed_atoms_step_alike(ast in arb_ast(), p in arb_path()) {
+        let pat = Pattern::from_ast(ast);
+        let (x, y) = (atom("p-unnamed-x"), atom("p-unnamed-y"));
+        prop_assert!(!pat.names(x) && !pat.names(y));
+        let mut st = pat.start();
+        for a in p.into_iter().map(Some).chain([None]) {
+            let unnamed = st.advance(pat.nfa(), x);
+            prop_assert_eq!(&unnamed, &st.advance(pat.nfa(), y));
+            for b in alphabet() {
+                if st.advance(pat.nfa(), b) != unnamed {
+                    prop_assert!(pat.names(b), "{} steps apart but is not named", b);
+                }
+            }
+            if let Some(a) = a {
+                st = st.advance(pat.nfa(), a);
+            }
+        }
+    }
+
     /// The same agreement for NFAs above `matcher::INLINE_STATES`, whose
     /// state sets keep their bits on the heap: the Thompson NFA and the
     /// lattice's determinized and complemented automata of a long literal

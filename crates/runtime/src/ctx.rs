@@ -137,7 +137,7 @@ impl<'a> Ctx<'a> {
     ) -> Result<Disposition> {
         let msg = Message::from_sender(self.self_id, body);
         self.shared
-            .with_registry(|reg, sink| reg.send(pattern, space, msg, sink))
+            .with_registry(|reg, out| reg.send(pattern, space, msg, out))
     }
 
     /// `send(pattern, message)` resolved in this actor's host space (§7.1).
@@ -155,7 +155,7 @@ impl<'a> Ctx<'a> {
     ) -> Result<Disposition> {
         let msg = Message::from_sender(self.self_id, body);
         self.shared
-            .with_registry(|reg, sink| reg.broadcast(pattern, space, msg, sink))
+            .with_registry(|reg, out| reg.broadcast(pattern, space, msg, out))
     }
 
     /// `broadcast` resolved in this actor's host space.

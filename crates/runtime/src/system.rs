@@ -15,7 +15,7 @@ use actorspace_lockcheck::{Condvar, LockClass, Mutex, RwLock};
 use actorspace_atoms::Path;
 use actorspace_capability::{CapMinter, Capability};
 use actorspace_core::{
-    ActorId, Disposition, GcReport, ManagerPolicy, MemberId, Pattern, Result, Route,
+    ActorId, Delivery, Disposition, GcReport, ManagerPolicy, MemberId, Pattern, Result, Route,
     ShardedRegistry, SpaceId,
 };
 use actorspace_obs::{names, Counter, DeadLetter, DeadLetterReason, Obs, Stage, TraceId};
@@ -88,9 +88,9 @@ pub struct Stats {
 pub(crate) struct Shared {
     pub actors: RwLock<HashMap<ActorId, Arc<ActorCell>>>,
     /// The sharded coordinator. Operations take `&self` and lock only the
-    /// shards their scope reaches; no outer mutex. The registry may take
-    /// the `actors` read lock through its sinks (delivery), so no path may
-    /// hold the `actors` lock while entering the registry.
+    /// shards their scope reaches; no outer mutex. The registry takes no
+    /// runtime lock: it hands back the deliveries it decides, and
+    /// [`Shared::with_registry`] carries them out after its locks drop.
     pub registry: ShardedRegistry<Message>,
     pub minter: CapMinter,
     /// Enqueued-but-unprocessed message count; zero ⇒ quiescent.
@@ -190,15 +190,19 @@ impl Shared {
         }
     }
 
-    /// Runs `f` with the registry and a sink that enqueues deliveries.
+    /// Runs `f` with the registry and a delivery buffer, then delivers
+    /// what the registry decided, once `f` has returned and the registry's
+    /// locks have dropped.
     pub fn with_registry<R>(
         &self,
-        f: impl FnOnce(&ShardedRegistry<Message>, &mut dyn FnMut(ActorId, Message, Option<&Route>)) -> R,
+        f: impl FnOnce(&ShardedRegistry<Message>, &mut Vec<Delivery<Message>>) -> R,
     ) -> R {
-        let mut sink = |to: ActorId, msg: Message, route: Option<&Route>| {
-            self.deliver(Envelope::user_routed(to, msg, route.cloned()));
-        };
-        f(&self.registry, &mut sink)
+        let mut out = Vec::new();
+        let r = f(&self.registry, &mut out);
+        for Delivery { to, msg, route } in out {
+            self.deliver(Envelope::user_routed(to, msg, Some(route)));
+        }
+        r
     }
 
     /// Registers a new actor and schedules its start signal.
@@ -250,7 +254,7 @@ impl Shared {
         if let Some(h) = self.hook.read().clone() {
             return h.make_visible(member, attrs, space, cap.copied());
         }
-        self.with_registry(|reg, sink| reg.make_visible(member, attrs, space, cap, sink))
+        self.with_registry(|reg, out| reg.make_visible(member, attrs, space, cap, out))
     }
 
     pub fn op_make_invisible(
@@ -275,7 +279,7 @@ impl Shared {
         if let Some(h) = self.hook.read().clone() {
             return h.change_attributes(member, attrs, space, cap.copied());
         }
-        self.with_registry(|reg, sink| reg.change_attributes(member, attrs, space, cap, sink))
+        self.with_registry(|reg, out| reg.change_attributes(member, attrs, space, cap, out))
     }
 
     pub fn op_create_space(&self, cap: Option<&Capability>) -> SpaceId {
@@ -492,7 +496,7 @@ impl ActorSystem {
             port: crate::message::Port::Invocation,
         };
         self.shared
-            .with_registry(|reg, sink| reg.send(pattern, space, msg, sink))
+            .with_registry(|reg, out| reg.send(pattern, space, msg, out))
     }
 
     /// `broadcast(pattern@space, message)` from outside the system.
@@ -509,7 +513,7 @@ impl ActorSystem {
             port: crate::message::Port::Invocation,
         };
         self.shared
-            .with_registry(|reg, sink| reg.broadcast(pattern, space, msg, sink))
+            .with_registry(|reg, out| reg.broadcast(pattern, space, msg, out))
     }
 
     /// Point-to-point send by mail address — the Actor special case.
@@ -725,7 +729,7 @@ impl ActorSystem {
     /// one being started.
     pub fn resend_routed(&self, route: &Route, msg: Message) -> Result<Disposition> {
         self.shared
-            .with_registry(|reg, sink| reg.resend(route, msg, sink))
+            .with_registry(|reg, out| reg.resend(route, msg, out))
     }
 
     /// Whether this node currently hosts a behavior cell for `id`.
@@ -754,10 +758,11 @@ impl ActorSystem {
     }
 
     /// Direct registry access for the cluster layer (replica application).
-    /// The closure receives the registry and a delivery sink.
+    /// The closure receives the registry and a delivery buffer; what it
+    /// collects is delivered after the closure returns.
     pub fn with_registry<R>(
         &self,
-        f: impl FnOnce(&ShardedRegistry<Message>, &mut dyn FnMut(ActorId, Message, Option<&Route>)) -> R,
+        f: impl FnOnce(&ShardedRegistry<Message>, &mut Vec<Delivery<Message>>) -> R,
     ) -> R {
         self.shared.with_registry(f)
     }

@@ -7,9 +7,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use actorspace_atoms::path;
-use actorspace_core::{ManagerPolicy, SelectionPolicy, UnmatchedPolicy};
+use actorspace_core::{
+    ActorId, Disposition, ManagerPolicy, Route, SelectionPolicy, UnmatchedPolicy,
+};
 use actorspace_pattern::pattern;
-use actorspace_runtime::{from_fn, ActorSystem, Behavior, Config, Ctx, Message, Value};
+use actorspace_runtime::{from_fn, ActorSystem, Behavior, Config, Ctx, Message, Transport, Value};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -484,5 +486,53 @@ fn heavy_concurrent_traffic_is_lossless() {
     }
     assert!(sys.await_idle(TIMEOUT));
     assert_eq!(received.load(Ordering::Relaxed), n);
+    sys.shutdown();
+}
+
+/// An uplink that, handed a routed message, re-resolves its route through
+/// the registry that chose the recipient — what a failover transport does.
+struct ReResolvingUplink {
+    sys: std::sync::Weak<ActorSystem>,
+    seen: std::sync::OnceLock<(ActorId, Vec<ActorId>)>,
+}
+
+impl Transport for ReResolvingUplink {
+    fn deliver(&self, _to: ActorId, _msg: Message) -> bool {
+        false
+    }
+
+    fn deliver_routed(&self, to: ActorId, _msg: Message, route: Option<&Route>) -> bool {
+        let (Some(sys), Some(route)) = (self.sys.upgrade(), route) else {
+            return false;
+        };
+        let again = sys.resolve(&route.pattern, route.space).unwrap();
+        self.seen.set((to, again)).is_ok()
+    }
+}
+
+#[test]
+fn transport_may_reenter_the_registry_during_a_pattern_send() {
+    // The registry decides under its locks and delivers after them, so an
+    // uplink reached from a pattern send may call back into it.
+    let sys = Arc::new(system());
+    let uplink = Arc::new(ReResolvingUplink {
+        sys: Arc::downgrade(&sys),
+        seen: Default::default(),
+    });
+    sys.set_uplink(uplink.clone());
+    let space = sys.create_space(None).unwrap();
+    // An actor this node knows of but does not host: its deliveries go to
+    // the uplink.
+    let remote = sys
+        .with_registry(|reg, _| reg.create_actor(space, None))
+        .unwrap();
+    sys.make_visible(remote, &path("svc/remote"), space, None)
+        .unwrap();
+    let d = sys
+        .send_pattern(&pattern("svc/*"), space, Value::int(1), None)
+        .unwrap();
+    assert_eq!(d, Disposition::Delivered(1));
+    assert_eq!(uplink.seen.get(), Some(&(remote, vec![remote])));
+    assert_eq!(sys.stats().dead_letters, 0);
     sys.shutdown();
 }

@@ -2,24 +2,15 @@
 //! `scripts/ci.sh` (`rustc scripts/lint.rs && ./lint <repo root>`), no
 //! cargo involvement, no dependencies.
 //!
-//! Two rules, both scoped to first-party `.rs` sources (`crates/`, `src/`,
+//! One rule, scoped to first-party `.rs` sources (`crates/`, `src/`,
 //! excluding `crates/lockcheck` and anything under `vendor/` or `target/`):
-//!
-//! 1. **No hidden locks.** Every lock must go through the
-//!    `actorspace_lockcheck` wrappers so the `--features lockcheck` build
-//!    instruments it and `lock.<class>.*` timing counts it; a raw lock
-//!    would be invisible to both. So no first-party source names
-//!    `parking_lot`, and none names `std::sync::{Mutex, RwLock, Condvar}`
-//!    above its first `#[cfg(test)]` (test code may use std locks). Only
-//!    `crates/lockcheck` (the wrapper itself) and the vendored crates are
-//!    exempt.
-//! 2. **No `.lock()` / `.write()` inside inline sink closures.** A closure
-//!    passed as an argument to `.send(` / `.broadcast(` / `.resend(` /
-//!    `.make_visible(` / `.change_attributes(` runs under the
-//!    coordinator's meta + shard locks; taking another lock there is how
-//!    re-entrancy deadlocks start. (Out-of-line sink closures are covered
-//!    dynamically by the lockcheck re-entrancy detector — this rule just
-//!    catches the pattern where it is visible syntactically.)
+//! **no hidden locks.** Every lock must go through the
+//! `actorspace_lockcheck` wrappers so the `--features lockcheck` build
+//! instruments it and `lock.<class>.*` timing counts it; a raw lock would
+//! be invisible to both. So no first-party source names `parking_lot`, and
+//! none names `std::sync::{Mutex, RwLock, Condvar}` above its first
+//! `#[cfg(test)]` (test code may use std locks). Only `crates/lockcheck`
+//! (the wrapper itself) and the vendored crates are exempt.
 //!
 //! Comments and string literals are stripped (preserving line numbers)
 //! before matching, so prose mentioning `parking_lot` is fine.
@@ -27,14 +18,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-const SINK_METHODS: [&str; 5] = [
-    ".send(",
-    ".broadcast(",
-    ".resend(",
-    ".make_visible(",
-    ".change_attributes(",
-];
 
 fn main() -> ExitCode {
     let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
@@ -47,32 +30,27 @@ fn main() -> ExitCode {
 
     let mut errors = Vec::new();
     for f in &files {
+        if f.starts_with(root.join("crates/lockcheck")) {
+            continue;
+        }
         let Ok(text) = fs::read_to_string(f) else {
             continue;
         };
         let code = strip_comments_and_strings(&text);
         let shown = f.strip_prefix(&root).unwrap_or(f).display();
-        if !f.starts_with(root.join("crates/lockcheck")) {
-            for (ln, line) in code.lines().enumerate() {
-                if line.contains("parking_lot") {
-                    errors.push(format!(
-                        "{shown}:{}: raw `parking_lot` outside crates/lockcheck — \
-                         use the actorspace_lockcheck wrappers",
-                        ln + 1
-                    ));
-                }
-            }
-            for (ln, what) in std_locks_outside_tests(&code) {
+        for (ln, line) in code.lines().enumerate() {
+            if line.contains("parking_lot") {
                 errors.push(format!(
-                    "{shown}:{ln}: `std::sync::{what}` outside test code — \
-                     use the actorspace_lockcheck wrappers"
+                    "{shown}:{}: raw `parking_lot` outside crates/lockcheck — \
+                     use the actorspace_lockcheck wrappers",
+                    ln + 1
                 ));
             }
         }
-        for (ln, what) in locks_in_sink_closures(&code) {
+        for (ln, what) in std_locks_outside_tests(&code) {
             errors.push(format!(
-                "{shown}:{ln}: `{what}` inside a sink closure — sinks run under \
-                 the coordinator's meta + shard locks and must not take locks"
+                "{shown}:{ln}: `std::sync::{what}` outside test code — \
+                 use the actorspace_lockcheck wrappers"
             ));
         }
     }
@@ -212,83 +190,4 @@ fn std_locks_outside_tests(code: &str) -> Vec<(usize, &'static str)> {
         from = start + end;
     }
     hits
-}
-
-/// Finds `.lock(` / `.write(` occurrences lexically inside a closure that
-/// is itself inside the argument list of one of [`SINK_METHODS`]. Returns
-/// (1-based line, offending token).
-fn locks_in_sink_closures(code: &str) -> Vec<(usize, &'static str)> {
-    let mut hits = Vec::new();
-    for m in SINK_METHODS {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(m) {
-            let call = from + pos;
-            let open = call + m.len() - 1;
-            let Some(close) = matching_paren(code, open) else {
-                break;
-            };
-            let args = &code[open + 1..close];
-            if let Some(cl) = closure_start(args) {
-                let body = &args[cl..];
-                for tok in [".lock(", ".write("] {
-                    if let Some(off) = body.find(tok) {
-                        let abs = open + 1 + cl + off;
-                        let line = code[..abs].matches('\n').count() + 1;
-                        hits.push((line, if tok == ".lock(" { ".lock(" } else { ".write(" }));
-                    }
-                }
-            }
-            from = open + 1;
-        }
-    }
-    hits.sort();
-    hits.dedup();
-    hits
-}
-
-/// Index of the `)` matching the `(` at `open`, or None.
-fn matching_paren(code: &str, open: usize) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut depth = 0usize;
-    for (i, &c) in bytes.iter().enumerate().skip(open) {
-        match c {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Offset just past the opening `|param…|` of an inline closure in an
-/// argument list, or None. Recognizes `|…|` introduced at an argument
-/// boundary (`(`, `,`, `&`, `mut `, `move `), which sidesteps `||` the
-/// logical operator inside ordinary argument expressions.
-fn closure_start(args: &str) -> Option<usize> {
-    let bytes = args.as_bytes();
-    for (i, &c) in bytes.iter().enumerate() {
-        if c != b'|' {
-            continue;
-        }
-        let before = args[..i].trim_end();
-        let introduced = before.is_empty()
-            || before.ends_with(',')
-            || before.ends_with('&')
-            || before.ends_with("mut")
-            || before.ends_with("move");
-        if !introduced {
-            continue;
-        }
-        // Find the closing `|` of the parameter list (same line scan is
-        // enough for parameter lists; they cannot contain `|`).
-        if let Some(end) = args[i + 1..].find('|') {
-            return Some(i + 1 + end + 1);
-        }
-    }
-    None
 }
