@@ -767,30 +767,43 @@ fn e11_repository() {
             "name-server exact",
             "pattern versions",
             "package scan",
+            "exact incl. parse",
         ],
     );
+    // Queries are compiled (and the name-server key interned) once, as a
+    // client reuses them; the last column adds the parse to each query.
+    let exact = repo::exact_query(0, 1, 2);
+    let versions = repo::versions_query(0, 1);
+    let package = repo::package_query(0);
+    let name = repo::ns_name(0, 1, 2);
     for size in [100usize, 1_000, 10_000, 100_000] {
         let repository = repo::build_repository(size);
         let ns = repo::build_name_server(&repository);
         let reps = 200u32;
         let (_, d_pe) = time_it(|| {
             for _ in 0..reps {
-                assert_eq!(repo::lookup_exact(&repository, 0, 1, 2).len(), 1);
+                assert_eq!(repo::lookup(&repository, &exact).len(), 1);
             }
         });
         let (_, d_ne) = time_it(|| {
             for _ in 0..reps {
-                assert!(repo::ns_lookup_exact(&ns, 0, 1, 2).is_some());
+                assert!(ns.lookup(name).is_some());
             }
         });
         let (_, d_pv) = time_it(|| {
             for _ in 0..reps {
-                repo::lookup_versions(&repository, 0, 1);
+                repo::lookup(&repository, &versions);
             }
         });
         let (_, d_ps) = time_it(|| {
             for _ in 0..reps {
-                repo::lookup_package(&repository, 0);
+                repo::lookup(&repository, &package);
+            }
+        });
+        let (_, d_pp) = time_it(|| {
+            for _ in 0..reps {
+                let query = repo::exact_query(0, 1, 2);
+                assert_eq!(repo::lookup(&repository, &query).len(), 1);
             }
         });
         t.row(&[
@@ -799,6 +812,7 @@ fn e11_repository() {
             fmt_dur(d_ne / reps),
             fmt_dur(d_pv / reps),
             fmt_dur(d_ps / reps),
+            fmt_dur(d_pp / reps),
         ]);
     }
     t.print();

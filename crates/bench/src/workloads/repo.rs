@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use actorspace_atoms::{atom, path, Path};
+use actorspace_atoms::{atom, path, Atom, Path};
 use actorspace_baselines::NameServer;
 use actorspace_core::{policy::ManagerPolicy, ActorId, ShardedRegistry, SpaceId};
 use actorspace_pattern::Pattern;
@@ -77,27 +77,31 @@ pub fn build_name_server(repo: &Repository) -> NameServer {
     ns
 }
 
-/// An exact lookup through pattern resolution.
-pub fn lookup_exact(repo: &Repository, pkg: usize, iface: usize, ver: usize) -> Vec<ActorId> {
-    let pat = Pattern::parse(&format!("pkg-{pkg}/iface-{iface}/v{ver}")).expect("valid pattern");
-    repo.registry.resolve(&pat, repo.space).expect("resolve")
+/// The exact query for one factory.
+pub fn exact_query(pkg: usize, iface: usize, ver: usize) -> Pattern {
+    Pattern::parse(&format!("pkg-{pkg}/iface-{iface}/v{ver}")).expect("valid pattern")
 }
 
 /// A wildcard query: every version of one interface.
-pub fn lookup_versions(repo: &Repository, pkg: usize, iface: usize) -> Vec<ActorId> {
-    let pat = Pattern::parse(&format!("pkg-{pkg}/iface-{iface}/*")).expect("valid pattern");
-    repo.registry.resolve(&pat, repo.space).expect("resolve")
+pub fn versions_query(pkg: usize, iface: usize) -> Pattern {
+    Pattern::parse(&format!("pkg-{pkg}/iface-{iface}/*")).expect("valid pattern")
 }
 
 /// A broad scan: everything exported by one package.
-pub fn lookup_package(repo: &Repository, pkg: usize) -> Vec<ActorId> {
-    let pat = Pattern::parse(&format!("pkg-{pkg}/**")).expect("valid pattern");
-    repo.registry.resolve(&pat, repo.space).expect("resolve")
+pub fn package_query(pkg: usize) -> Pattern {
+    Pattern::parse(&format!("pkg-{pkg}/**")).expect("valid pattern")
 }
 
-/// The name-server equivalent of an exact lookup.
-pub fn ns_lookup_exact(ns: &NameServer, pkg: usize, iface: usize, ver: usize) -> Option<u64> {
-    ns.lookup(atom(&format!("pkg-{pkg}/iface-{iface}/v{ver}")))
+/// Resolves a compiled query against the library. Queries are built once
+/// and reused, as a client reuses its patterns, so timing this times
+/// resolution, not the pattern compiler.
+pub fn lookup(repo: &Repository, query: &Pattern) -> Vec<ActorId> {
+    repo.registry.resolve(query, repo.space).expect("resolve")
+}
+
+/// The name-server key of one factory.
+pub fn ns_name(pkg: usize, iface: usize, ver: usize) -> Atom {
+    atom(&format!("pkg-{pkg}/iface-{iface}/v{ver}"))
 }
 
 /// The name server cannot answer a wildcard query directly; the honest
@@ -105,7 +109,7 @@ pub fn ns_lookup_exact(ns: &NameServer, pkg: usize, iface: usize, ver: usize) ->
 /// the whole taxonomy in advance. This is the cost E11 quantifies.
 pub fn ns_lookup_versions_emulated(ns: &NameServer, pkg: usize, iface: usize) -> Vec<u64> {
     (0..VERSIONS)
-        .filter_map(|v| ns.lookup(atom(&format!("pkg-{pkg}/iface-{iface}/v{v}"))))
+        .filter_map(|v| ns.lookup(ns_name(pkg, iface, v)))
         .collect()
 }
 
@@ -142,14 +146,14 @@ mod tests {
     #[test]
     fn exact_lookup_finds_exactly_one_factory() {
         let repo = build_repository(256);
-        let got = lookup_exact(&repo, 1, 2, 3);
+        let got = lookup(&repo, &exact_query(1, 2, 3));
         assert_eq!(got, vec![repo.factories[&(1, 2, 3)]]);
     }
 
     #[test]
     fn version_wildcard_finds_all_versions() {
         let repo = build_repository(256);
-        let got = lookup_versions(&repo, 2, 5);
+        let got = lookup(&repo, &versions_query(2, 5));
         assert_eq!(got.len(), VERSIONS);
         for v in 0..VERSIONS {
             assert!(got.contains(&repo.factories[&(2, 5, v)]));
@@ -159,7 +163,7 @@ mod tests {
     #[test]
     fn package_scan_finds_the_whole_package() {
         let repo = build_repository(256);
-        let got = lookup_package(&repo, 0);
+        let got = lookup(&repo, &package_query(0));
         assert_eq!(got.len(), IFACES_PER_PKG * VERSIONS);
     }
 
@@ -167,14 +171,17 @@ mod tests {
     fn name_server_matches_on_exact_queries_only() {
         let repo = build_repository(128);
         let ns = build_name_server(&repo);
-        let pattern_hit = lookup_exact(&repo, 0, 1, 2);
-        let ns_hit = ns_lookup_exact(&ns, 0, 1, 2).unwrap();
+        let pattern_hit = lookup(&repo, &exact_query(0, 1, 2));
+        let ns_hit = ns.lookup(ns_name(0, 1, 2)).unwrap();
         assert_eq!(pattern_hit[0].0, ns_hit);
         // The wildcard emulation needs taxonomy knowledge the client may
         // not have; with it, results agree.
         let mut emu = ns_lookup_versions_emulated(&ns, 0, 1);
         emu.sort_unstable();
-        let mut pat: Vec<u64> = lookup_versions(&repo, 0, 1).iter().map(|a| a.0).collect();
+        let mut pat: Vec<u64> = lookup(&repo, &versions_query(0, 1))
+            .iter()
+            .map(|a| a.0)
+            .collect();
         pat.sort_unstable();
         assert_eq!(emu, pat);
     }

@@ -1,15 +1,32 @@
 //! Simulated point-to-point links.
 //!
-//! A [`Link`] is a unidirectional channel with a delivery thread that
-//! imposes latency (base + uniform jitter), probabilistic drops, and
-//! probabilistic duplication. Jitter makes delivery order differ from send
-//! order — deliberately, since the paper guarantees no order on messages
-//! (§5.3/§5.6); tests that need loss-free links set the probabilities to
-//! zero. The faulty configurations are what [`crate::reliable`] is built
-//! to survive.
+//! A [`Link`] is a unidirectional channel that imposes latency (base +
+//! uniform jitter), probabilistic drops, and probabilistic duplication.
+//! Jitter makes delivery order differ from send order — deliberately,
+//! since the paper guarantees no order on messages (§5.3/§5.6); tests that
+//! need loss-free links set the probabilities to zero. The faulty
+//! configurations are what [`crate::reliable`] is built to survive.
+//!
+//! # Zero-delay links deliver inline
+//!
+//! A link whose [`LinkConfig`] has zero `latency`, zero `jitter`, no drops
+//! and no duplication ([`LinkConfig::is_instant`]) has nothing to impose,
+//! so it starts no thread: [`Link::send`] runs the delivery callback on
+//! the caller's thread before it returns. Any other configuration keeps a
+//! delivery thread (the pump) that holds each item until it is due.
+//!
+//! What a delivery callback may therefore assume — and no more:
+//!
+//! - it may run on any thread that sends, and concurrently on several of
+//!   them (hence the `Sync` bound), under whatever locks the sender holds;
+//!   so it must not take a lock a sender may hold, nor block on a thread
+//!   that may be sending;
+//! - after [`Link::close`] returns, no new delivery starts; the link drops
+//!   its callback (with everything the callback owns) at `close`, and the
+//!   last in-flight inline delivery drops it on return.
 
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,6 +80,15 @@ impl LinkConfig {
             ..LinkConfig::default()
         }
     }
+
+    /// Whether a link over this configuration delivers inline: no delay,
+    /// no jitter, no drops and no duplication.
+    pub fn is_instant(&self) -> bool {
+        self.latency.is_zero()
+            && self.jitter.is_zero()
+            && self.drop_prob <= 0.0
+            && self.dup_prob <= 0.0
+    }
 }
 
 struct Scheduled<T> {
@@ -95,12 +121,26 @@ enum Wire<T> {
     Close,
 }
 
-/// A unidirectional, fault-injected, delayed delivery channel. Its
-/// delivery thread runs until [`Link::close`] or drop, which deliver what
-/// is already in flight and join it.
+/// A link's delivery callback, shared with in-flight inline sends.
+type Deliver<T> = Arc<dyn Fn(T) + Send + Sync>;
+
+/// How items cross a link.
+enum Path<T> {
+    /// Zero delay, no faults: `send` runs the callback. `None` once closed.
+    Inline(Mutex<Option<Deliver<T>>>),
+    /// Delay or faults: the pump thread schedules and runs the callback.
+    Pumped {
+        tx: mpsc::Sender<Wire<T>>,
+        pump: Mutex<Option<JoinHandle<()>>>,
+    },
+}
+
+/// A unidirectional, fault-injected, delayed delivery channel. A delayed
+/// or faulty link's delivery thread runs until [`Link::close`] or drop,
+/// which deliver what is already in flight and join it; a zero-delay link
+/// delivers on the sending thread (see the module docs).
 pub struct Link<T: Send + 'static> {
-    tx: mpsc::Sender<Wire<T>>,
-    pump: Mutex<Option<JoinHandle<()>>>,
+    path: Path<T>,
 }
 
 impl<T: Send + 'static> Link<T> {
@@ -108,46 +148,79 @@ impl<T: Send + 'static> Link<T> {
     /// configured delay (possibly dropped or reordered). Duplication
     /// requires `T: Clone` — use [`Link::new_cloneable`]; here `dup_prob`
     /// is forced to zero.
-    pub fn new(cfg: LinkConfig, deliver: impl Fn(T) + Send + 'static) -> Link<T> {
+    pub fn new(cfg: LinkConfig, deliver: impl Fn(T) + Send + Sync + 'static) -> Link<T> {
         let cfg = LinkConfig {
             dup_prob: 0.0,
             ..cfg
         };
-        Link::spawn(cfg, deliver, None)
+        Link::build(cfg, deliver, None)
     }
 
-    fn spawn(
+    fn build(
         cfg: LinkConfig,
-        deliver: impl Fn(T) + Send + 'static,
+        deliver: impl Fn(T) + Send + Sync + 'static,
         dup: Option<fn(&T) -> T>,
     ) -> Link<T> {
+        let class = LockClass::Other("net.link");
+        if cfg.is_instant() {
+            let deliver: Deliver<T> = Arc::new(deliver);
+            return Link {
+                path: Path::Inline(Mutex::new(class, Some(deliver))),
+            };
+        }
         let (tx, rx) = mpsc::channel::<Wire<T>>();
         let pump = std::thread::Builder::new()
             .name("actorspace-link".into())
             .spawn(move || pump(cfg, rx, deliver, dup))
             .expect("spawn link thread");
         Link {
-            tx,
-            pump: Mutex::new(LockClass::Other("net.link"), Some(pump)),
+            path: Path::Pumped {
+                tx,
+                pump: Mutex::new(class, Some(pump)),
+            },
         }
     }
 
-    /// Sends an item into the link. Returns false if the link is down.
+    /// Sends an item into the link. Returns false if the link is down. On
+    /// a zero-delay link the item has been delivered when this returns.
     pub fn send(&self, item: T) -> bool {
-        self.tx.send(Wire::Item(item)).is_ok()
+        match &self.path {
+            Path::Inline(deliver) => {
+                // Clone out of the lock: the callback runs unlocked, so
+                // senders overlap and `close` never waits for one.
+                let Some(deliver) = deliver.lock().clone() else {
+                    return false;
+                };
+                deliver(item);
+                true
+            }
+            Path::Pumped { tx, .. } => tx.send(Wire::Item(item)).is_ok(),
+        }
     }
 
-    /// Stops the link: items sent before the call are still delivered
-    /// after their delay, later ones are dropped, and the delivery thread
-    /// is joined. Idempotent.
+    /// Stops the link: later sends are dropped (a zero-delay link's return
+    /// false) and the link drops its delivery callback. A delayed link
+    /// still delivers the items sent before the call, after their delay,
+    /// then its delivery thread is joined. Idempotent.
     pub fn close(&self) {
-        let _ = self.tx.send(Wire::Close);
-        let pump = self.pump.lock().take();
-        if let Some(pump) = pump {
-            // A delivery callback that drops the last handle to its own
-            // link cannot join itself; its thread is exiting anyway.
-            if pump.thread().id() != std::thread::current().id() {
-                let _ = pump.join();
+        match &self.path {
+            Path::Inline(deliver) => {
+                // Dropped after the guard: what the callback owns may
+                // close other links as it goes.
+                let callback = deliver.lock().take();
+                drop(callback);
+            }
+            Path::Pumped { tx, pump } => {
+                let _ = tx.send(Wire::Close);
+                let pump = pump.lock().take();
+                if let Some(pump) = pump {
+                    // A delivery callback that drops the last handle to its
+                    // own link cannot join itself; its thread is exiting
+                    // anyway.
+                    if pump.thread().id() != std::thread::current().id() {
+                        let _ = pump.join();
+                    }
+                }
             }
         }
     }
@@ -161,8 +234,8 @@ impl<T: Send + 'static> Drop for Link<T> {
 
 impl<T: Clone + Send + 'static> Link<T> {
     /// Like [`Link::new`] but supports duplication (requires `T: Clone`).
-    pub fn new_cloneable(cfg: LinkConfig, deliver: impl Fn(T) + Send + 'static) -> Link<T> {
-        Link::spawn(cfg, deliver, Some(T::clone))
+    pub fn new_cloneable(cfg: LinkConfig, deliver: impl Fn(T) + Send + Sync + 'static) -> Link<T> {
+        Link::build(cfg, deliver, Some(T::clone))
     }
 }
 
@@ -227,6 +300,93 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
+
+    fn instant() -> LinkConfig {
+        LinkConfig {
+            latency: Duration::ZERO,
+            ..LinkConfig::ideal()
+        }
+    }
+
+    #[test]
+    fn zero_delay_link_delivers_on_the_sending_thread() {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        let link = Link::new(instant(), move |x: u32| {
+            g.lock().unwrap().push((x, std::thread::current().id()));
+        });
+        assert!(matches!(link.path, Path::Inline(_)), "no pump thread");
+        for i in 0..3 {
+            assert!(link.send(i));
+            // Delivered before `send` returned, by this thread.
+            let me = std::thread::current().id();
+            assert_eq!(got.lock().unwrap().last(), Some(&(i, me)));
+        }
+    }
+
+    #[test]
+    fn only_a_fault_free_zero_delay_config_is_instant() {
+        assert!(instant().is_instant());
+        assert!(!LinkConfig::ideal().is_instant());
+        for cfg in [
+            LinkConfig {
+                jitter: Duration::from_micros(1),
+                ..instant()
+            },
+            LinkConfig {
+                drop_prob: 0.1,
+                ..instant()
+            },
+            LinkConfig {
+                dup_prob: 0.1,
+                ..instant()
+            },
+        ] {
+            assert!(!cfg.is_instant(), "{cfg:?}");
+            let link = Link::new_cloneable(cfg, |_: u32| {});
+            assert!(matches!(link.path, Path::Pumped { .. }));
+        }
+        // `Link::new` forces duplication off, so a duplicating but
+        // otherwise instant config delivers inline there.
+        let cfg = LinkConfig {
+            dup_prob: 0.5,
+            ..instant()
+        };
+        assert!(matches!(Link::new(cfg, |_: u32| {}).path, Path::Inline(_)));
+    }
+
+    #[test]
+    fn zero_delay_send_after_close_is_refused() {
+        let count = Arc::new(AtomicUsize::new(0));
+        let c = count.clone();
+        let link = Link::new(instant(), move |_: u32| {
+            c.fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(link.send(1));
+        link.close();
+        assert!(!link.send(2));
+        link.close(); // idempotent
+        assert_eq!(count.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn zero_delay_close_drops_the_callback() {
+        // Regression: a sequencer's stamping thread waits for its channel
+        // to disconnect, and the only sender lives in its uplink's
+        // callback. A close that kept the callback hung shutdown forever.
+        let (tx, rx) = mpsc::channel::<u32>();
+        let link = Link::new(instant(), move |x: u32| {
+            let _ = tx.send(x);
+        });
+        assert!(link.send(5));
+        link.close();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(5));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "close must drop the callback and its sender"
+        );
+    }
 
     #[test]
     fn delivers_after_latency() {

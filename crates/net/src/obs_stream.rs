@@ -125,8 +125,8 @@ impl ObsStream {
         }
     }
 
-    /// Closes every subscriber link, joining its delivery thread; frames
-    /// published afterwards are dropped.
+    /// Closes every subscriber link, joining its delivery thread (a
+    /// zero-delay link has none); frames published afterwards are dropped.
     pub fn close(&self) {
         for sub in self.subs.read().iter() {
             sub.link.close();

@@ -1,6 +1,7 @@
 //! Property tests for the cluster: replica convergence under random
 //! concurrent operation storms (both ordering protocols), and exactly-once
-//! delivery under random node kill/restart schedules over lossy links.
+//! delivery under random node kill/restart schedules over lossy links and
+//! over zero-delay links (which deliver on the sending thread).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,6 +13,8 @@ use actorspace_net::{Cluster, ClusterConfig, FailureConfig, LinkConfig, Ordering
 use actorspace_pattern::pattern;
 use actorspace_runtime::{from_fn, Value};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -168,11 +171,12 @@ fn spawn_recorder(c: &Cluster, node: usize, space: SpaceId, log: &Arc<Mutex<Vec<
 /// to exactly one live matching actor — in-flight packets and mailbox
 /// backlogs of crashed nodes are re-resolved, never lost, never
 /// duplicated.
-fn run_fault_storm(ops: &[FaultOp]) {
+fn run_fault_storm(data_link: LinkConfig, bus_link: LinkConfig, ops: &[FaultOp]) {
     let n_nodes = 3;
     let c = Cluster::new(ClusterConfig {
         nodes: n_nodes,
-        data_link: LinkConfig::lossy(0.15, 0.1, 4242),
+        data_link,
+        bus_link,
         retx_every: Duration::from_millis(5),
         failure: FailureConfig::fast(),
         ..ClusterConfig::default()
@@ -269,6 +273,45 @@ proptest! {
     fn sends_survive_random_kill_restart_schedules(
         ops in proptest::collection::vec(arb_fault_op(3), 1..30),
     ) {
-        run_fault_storm(&ops);
+        run_fault_storm(LinkConfig::lossy(0.15, 0.1, 4242), LinkConfig::ideal(), &ops);
     }
+}
+
+/// A fixed kill/restart schedule drawn from `seed` with
+/// [`arb_fault_op`]'s weights: three sends to each kill, restart and
+/// settle.
+fn fault_schedule(seed: u64, len: usize) -> Vec<FaultOp> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0..6u32) {
+            0..=2 => FaultOp::Send {
+                node: rng.gen_range(0..3),
+            },
+            3 => FaultOp::Kill {
+                node: rng.gen_range(1..3),
+            },
+            4 => FaultOp::Restart {
+                node: rng.gen_range(1..3),
+            },
+            _ => FaultOp::Settle,
+        })
+        .collect()
+}
+
+/// The fault storm over zero-delay data and bus links: every packet, ack,
+/// heartbeat and bus submission is delivered on the thread that sends it,
+/// so forwarding workers and clients run the destination's decode, the
+/// mailbox push and the ack while `kill_node` and `restart_node` swap the
+/// destination's system.
+#[test]
+fn sends_survive_kill_restart_over_zero_delay_links() {
+    let zero = LinkConfig {
+        latency: Duration::ZERO,
+        ..LinkConfig::ideal()
+    };
+    assert!(zero.is_instant());
+    let seed = 17;
+    let ops = fault_schedule(seed, 60);
+    eprintln!("zero-delay fault storm, seed {seed}: {ops:?}");
+    run_fault_storm(zero.clone(), zero, &ops);
 }

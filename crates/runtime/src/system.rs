@@ -144,7 +144,10 @@ impl Shared {
             None => {
                 let trace = route.as_ref().map(|r| r.trace).unwrap_or(TraceId::NONE);
                 if let Payload::User(msg) = payload {
-                    if let Some(up) = self.uplink.read().clone() {
+                    // Released before the call: a transport may deliver on
+                    // this thread, into other nodes' locks.
+                    let uplink = self.uplink.read().clone();
+                    if let Some(up) = uplink {
                         if up.deliver_routed(to, msg, route.as_ref()) {
                             return true;
                         }
