@@ -192,6 +192,47 @@ fn e2_single_node() {
         ]);
         sys.shutdown();
     }
+    // Coordinator cost of a pattern send over 64 replicas. The first send
+    // through a compiled pattern walks the space's index; a repeated send
+    // through the same pattern is answered by the space's resolution memo
+    // until its members change.
+    {
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
+        let space = reg.create_space(None);
+        let mut out = Vec::new();
+        for r in 0..64 {
+            let a = reg.create_actor(space, None).unwrap();
+            reg.make_visible(
+                a.into(),
+                vec![path(&format!("svc/r{r}"))],
+                space,
+                None,
+                &mut out,
+            )
+            .unwrap();
+        }
+        let n = 10_000usize;
+        let firsts: Vec<Pattern> = (0..n).map(|_| pattern("svc/*")).collect();
+        // Clones share one compiled body, so one memo entry answers them.
+        let repeated = vec![pattern("svc/*"); n];
+        for (name, pats) in [
+            ("first svc/* send, 64 replicas", &firsts),
+            ("repeated svc/* send, 64 replicas", &repeated),
+        ] {
+            let (_, d) = time_it(|| {
+                for p in pats {
+                    reg.send(p, space, 0, &mut out).unwrap();
+                    out.clear();
+                }
+            });
+            t.row(&[
+                name.into(),
+                n.to_string(),
+                fmt_dur(d),
+                fmt_dur(d / n as u32),
+            ]);
+        }
+    }
     // Resolution scaling.
     for n_actors in [100usize, 1_000, 10_000] {
         let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());

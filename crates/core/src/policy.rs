@@ -116,8 +116,9 @@ impl Selector {
 
     /// Chooses one recipient from a non-empty candidate list. Candidates
     /// must be deduplicated by the caller; order does not matter for
-    /// `Random`, and is normalized internally for the deterministic
-    /// policies.
+    /// `Random`, nor for `LeastLoaded`, which breaks ties by address.
+    /// `RoundRobin` cycles in address order, sorting a copy only when the
+    /// list is not already sorted (the coordinator's always is).
     pub fn select(&mut self, candidates: &[ActorId]) -> ActorId {
         assert!(
             !candidates.is_empty(),
@@ -126,20 +127,20 @@ impl Selector {
         match self.policy {
             SelectionPolicy::Random => candidates[self.rng.gen_range(0..candidates.len())],
             SelectionPolicy::RoundRobin => {
-                let mut sorted: Vec<ActorId> = candidates.to_vec();
-                sorted.sort_unstable();
-                let pick = sorted[self.cursor % sorted.len()];
+                let i = self.cursor % candidates.len();
                 self.cursor = self.cursor.wrapping_add(1);
-                pick
+                if candidates.is_sorted() {
+                    candidates[i]
+                } else {
+                    let mut sorted = candidates.to_vec();
+                    sorted.sort_unstable();
+                    sorted[i]
+                }
             }
-            SelectionPolicy::LeastLoaded => {
-                let mut sorted: Vec<ActorId> = candidates.to_vec();
-                sorted.sort_unstable();
-                *sorted
-                    .iter()
-                    .min_by_key(|a| (self.loads.get(a).copied().unwrap_or(0), a.0))
-                    .expect("non-empty")
-            }
+            SelectionPolicy::LeastLoaded => *candidates
+                .iter()
+                .min_by_key(|a| (self.loads.get(a).copied().unwrap_or(0), a.0))
+                .expect("non-empty"),
         }
     }
 }
@@ -220,6 +221,26 @@ mod tests {
         let cands = ids(&[30, 10, 20]);
         let picks: Vec<u64> = (0..6).map(|_| s.select(&cands).0).collect();
         assert_eq!(picks, [10, 20, 30, 10, 20, 30]);
+    }
+
+    #[test]
+    fn unsorted_candidates_pick_as_their_sorted_copy() {
+        let unsorted = ids(&[30, 10, 40, 20]);
+        let mut sorted = unsorted.clone();
+        sorted.sort_unstable();
+        for policy in [SelectionPolicy::RoundRobin, SelectionPolicy::LeastLoaded] {
+            let (mut a, mut b) = (
+                Selector::new(policy.clone(), Some(0)),
+                Selector::new(policy, Some(0)),
+            );
+            for s in [&mut a, &mut b] {
+                s.set_load(ActorId(10), 5);
+                s.set_load(ActorId(30), 5);
+            }
+            for _ in 0..8 {
+                assert_eq!(a.select(&unsorted), b.select(&sorted));
+            }
+        }
     }
 
     #[test]

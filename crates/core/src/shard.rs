@@ -193,6 +193,29 @@ impl<'a, M> ScopeGuards<'a, M> {
             ScopeGuards::Closure(gs) => gs.get_mut(&id).map(|g| &mut **g),
         }
     }
+
+    /// The scope, when its resolutions of `pattern` may be memoized: the
+    /// walk cannot leave it (no visible sub-spaces), so what it returns
+    /// changes only through the scope's own methods, which clear the memo;
+    /// the pattern is not literal (one exact-key lookup, whose hit or miss
+    /// is counted per resolve); and no match filter runs, as its verdicts
+    /// are user code the memo cannot watch.
+    fn memo_scope(&mut self, pattern: &Pattern) -> Option<&mut Space<M>> {
+        match self {
+            ScopeGuards::Single(_, g) if !pattern.is_literal() && g.match_filter().is_none() => {
+                Some(&mut **g)
+            }
+            _ => None,
+        }
+    }
+
+    /// Memoizes `found`, what `pattern` resolved to in the scope, if it may
+    /// be memoized.
+    fn remember(&mut self, pattern: &Pattern, found: Vec<ActorId>) {
+        if let Some(sp) = self.memo_scope(pattern) {
+            sp.memo_put(pattern, found);
+        }
+    }
 }
 
 /// Clones the shard `Arc`s for `ids` (missing spaces are skipped — the
@@ -903,6 +926,25 @@ impl<M: Clone> ShardedRegistry<M> {
         Ok(out)
     }
 
+    /// What `pattern` resolves to in `space` for a send or broadcast: the
+    /// scope's memoized resolution when it has one, else a walk. The caller
+    /// hands the result back through [`ScopeGuards::remember`].
+    fn candidates(
+        &self,
+        meta: &Meta<M>,
+        guards: &mut ScopeGuards<'_, M>,
+        pattern: &Pattern,
+        space: SpaceId,
+    ) -> Result<Vec<ActorId>> {
+        let memoized = guards
+            .memo_scope(pattern)
+            .and_then(|sp| sp.memo_take(pattern));
+        match memoized {
+            Some(found) => Ok(found),
+            None => self.resolve_counted(meta, guards, pattern, space),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)] // internal delivery plumbing carries its full context
     fn send_locked(
         &self,
@@ -921,7 +963,7 @@ impl<M: Clone> ShardedRegistry<M> {
         } else {
             0
         };
-        let candidates = self.resolve_counted(meta, guards, pattern, space)?;
+        let candidates = self.candidates(meta, guards, pattern, space)?;
         if !candidates.is_empty() {
             self.m.matched.inc();
             if trace.is_some() {
@@ -946,6 +988,7 @@ impl<M: Clone> ShardedRegistry<M> {
                     None => sp.selector_mut().select(&candidates),
                 }
             };
+            guards.remember(pattern, candidates);
             out.push(Delivery {
                 to: pick,
                 msg,
@@ -1021,7 +1064,7 @@ impl<M: Clone> ShardedRegistry<M> {
         } else {
             0
         };
-        let candidates = self.resolve_counted(meta, guards, pattern, space)?;
+        let candidates = self.candidates(meta, guards, pattern, space)?;
         let policy = {
             let sp = guards
                 .get_space_mut(space)
@@ -1065,17 +1108,19 @@ impl<M: Clone> ShardedRegistry<M> {
                 .push_persistent(PersistentBroadcast {
                     pattern: pattern.clone(),
                     msg,
-                    delivered: candidates.into_iter().collect(),
+                    delivered: candidates.iter().copied().collect(),
                 });
+            guards.remember(pattern, candidates);
             return Ok(Disposition::Persistent(n));
         }
         if !candidates.is_empty() {
             let n = candidates.len();
-            out.extend(candidates.into_iter().map(|to| Delivery {
+            out.extend(candidates.iter().map(|&to| Delivery {
                 to,
                 msg: msg.clone(),
                 route: route.clone(),
             }));
+            guards.remember(pattern, candidates);
             return Ok(Disposition::Delivered(n));
         }
         match policy {
@@ -1697,6 +1742,196 @@ mod tests {
         assert_eq!(report.collected_actors, vec![a]);
         assert_eq!(report.live_actors, 1);
         assert_eq!(report.live_spaces, 1);
+    }
+}
+
+#[cfg(test)]
+/// The resolution memo: a send or broadcast through one compiled pattern
+/// answers as a fresh walk does after every change that can move it.
+mod memo_tests {
+    use super::*;
+    use crate::space::MatchFilter;
+    use actorspace_atoms::path;
+    use actorspace_pattern::pattern;
+
+    fn reg() -> ShardedRegistry<u32> {
+        ShardedRegistry::new(ManagerPolicy {
+            unmatched_send: UnmatchedPolicy::Discard,
+            unmatched_broadcast: UnmatchedPolicy::Discard,
+            selection_seed: Some(7),
+            ..ManagerPolicy::default()
+        })
+    }
+
+    /// Sends and broadcasts through `handle`, then checks both against a
+    /// resolve of a fresh parse of its text (a body no memo holds, and
+    /// `resolve` always walks). Returns what the broadcast reached.
+    fn check(r: &ShardedRegistry<u32>, handle: &Pattern, s: SpaceId) -> Vec<ActorId> {
+        let fresh = r.resolve(&pattern(handle.text()), s).unwrap();
+        let mut out = Vec::new();
+        let sent = r.send(handle, s, 1, &mut out).unwrap();
+        let to: Vec<ActorId> = out.drain(..).map(|d| d.to).collect();
+        if fresh.is_empty() {
+            assert_eq!((sent, to), (Disposition::Discarded, vec![]));
+        } else {
+            assert_eq!(sent, Disposition::Delivered(1));
+            assert!(fresh.contains(&to[0]), "sent to {to:?}, not in {fresh:?}");
+        }
+        r.broadcast(handle, s, 2, &mut out).unwrap();
+        let mut all: Vec<ActorId> = out.iter().map(|d| d.to).collect();
+        all.sort_unstable();
+        assert_eq!(
+            all, fresh,
+            "broadcast through {handle} disagrees with a walk"
+        );
+        all
+    }
+
+    /// A space with actors `a` and `b` visible as `svc/a` and `svc/b`, and
+    /// the `svc/*` handle, already memoized there.
+    fn two_replicas() -> (ShardedRegistry<u32>, SpaceId, ActorId, ActorId, Pattern) {
+        let r = reg();
+        let s = r.create_space(None);
+        let mut out = Vec::new();
+        let a = r.create_actor(s, None).unwrap();
+        let b = r.create_actor(s, None).unwrap();
+        r.make_visible(a.into(), vec![path("svc/a")], s, None, &mut out)
+            .unwrap();
+        r.make_visible(b.into(), vec![path("svc/b")], s, None, &mut out)
+            .unwrap();
+        let handle = pattern("svc/*");
+        assert_eq!(check(&r, &handle, s), vec![a, b]);
+        (r, s, a, b, handle)
+    }
+
+    #[test]
+    fn make_visible_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        let c = r.create_actor(s, None).unwrap();
+        r.make_visible(c.into(), vec![path("svc/c")], s, None, &mut Vec::new())
+            .unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a, b, c]);
+    }
+
+    #[test]
+    fn make_invisible_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        r.make_invisible(b.into(), s, None).unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a]);
+    }
+
+    #[test]
+    fn change_attributes_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        r.change_attributes(b.into(), vec![path("other/b")], s, None, &mut Vec::new())
+            .unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a]);
+    }
+
+    #[test]
+    fn remove_actor_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        r.remove_actor(a);
+        assert_eq!(check(&r, &handle, s), vec![b]);
+    }
+
+    #[test]
+    fn purge_actor_range_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        assert_eq!(r.purge_actor_range(b.0, b.0 + 1), 1);
+        assert_eq!(check(&r, &handle, s), vec![a]);
+    }
+
+    #[test]
+    fn set_match_filter_moves_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        let filter: MatchFilter = Arc::new(move |_, m, _| m != MemberId::Actor(b));
+        r.set_match_filter(s, Some(filter), None).unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a]);
+        r.set_match_filter(s, None, None).unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a, b]);
+    }
+
+    #[test]
+    fn set_space_policy_keeps_the_answer() {
+        let (r, s, a, b, handle) = two_replicas();
+        let policy = ManagerPolicy {
+            unmatched_send: UnmatchedPolicy::Discard,
+            unmatched_broadcast: UnmatchedPolicy::Discard,
+            selection: crate::policy::SelectionPolicy::RoundRobin,
+            max_match_depth: 0,
+            ..ManagerPolicy::default()
+        };
+        r.set_space_policy(s, policy, None).unwrap();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            r.send(&handle, s, 3, &mut out).unwrap();
+        }
+        let picks: Vec<ActorId> = out.iter().map(|d| d.to).collect();
+        assert_eq!(
+            picks,
+            vec![a, b, a],
+            "round robin restarts in address order"
+        );
+        assert_eq!(check(&r, &handle, s), vec![a, b]);
+    }
+
+    #[test]
+    fn literal_sends_are_looked_up_and_counted_every_time() {
+        let (r, s, _, b, _) = two_replicas();
+        let literal = pattern("svc/b");
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            r.send(&literal, s, 1, &mut out).unwrap();
+        }
+        assert!(out.iter().all(|d| d.to == b));
+        let hits = r.obs().snapshot();
+        assert_eq!(
+            hits.counter_for_space(names::CORE_INDEX_HITS, 0, s.0),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn a_match_filter_sees_every_send() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (r, s, _, _, handle) = two_replicas();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let filter: MatchFilter = Arc::new(move |_, _, _| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            true
+        });
+        r.set_match_filter(s, Some(filter), None).unwrap();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            r.send(&handle, s, 1, &mut out).unwrap();
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            6,
+            "two candidates, three walks"
+        );
+    }
+
+    #[test]
+    fn a_visible_sub_space_is_walked_not_memoized() {
+        let (r, s, a, b, handle) = two_replicas();
+        let mut out = Vec::new();
+        let t = r.create_space(None);
+        let c = r.create_actor(t, None).unwrap();
+        r.make_visible(c.into(), vec![path("c")], t, None, &mut out)
+            .unwrap();
+        r.make_visible(t.into(), vec![path("svc")], s, None, &mut out)
+            .unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a, b, c]);
+        // A change inside the sub-space touches only its own memo.
+        let d = r.create_actor(t, None).unwrap();
+        r.make_visible(d.into(), vec![path("d")], t, None, &mut out)
+            .unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a, b, c, d]);
+        r.make_invisible(t.into(), s, None).unwrap();
+        assert_eq!(check(&r, &handle, s), vec![a, b]);
     }
 }
 

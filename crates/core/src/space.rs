@@ -18,6 +18,10 @@ use crate::ids::{ActorId, MemberId, SpaceId};
 use crate::manager::{DefaultManager, Manager};
 use crate::policy::{ManagerPolicy, Selector};
 
+/// How many patterns one space's resolution memo holds; the least recently
+/// used is forgotten first.
+const MEMO_ENTRIES: usize = 16;
+
 /// Per-actor bookkeeping.
 #[derive(Debug, Clone)]
 pub struct ActorRecord {
@@ -116,6 +120,12 @@ pub struct Space<M> {
     match_filter: Option<MatchFilter>,
     pending: Vec<Pending<M>>,
     persistent: Vec<PersistentBroadcast<M>>,
+    /// The resolution memo: compiled patterns and the sorted, deduplicated
+    /// actors each resolved to in this space alone, least recently used
+    /// first. Keyed by body identity ([`Pattern::same`]); each entry's clone
+    /// keeps its body alive, so no other pattern can reuse the address.
+    /// Every method that changes what such a resolution returns clears it.
+    memo: Vec<(Pattern, Vec<ActorId>)>,
 }
 
 impl<M> Space<M> {
@@ -134,6 +144,7 @@ impl<M> Space<M> {
             match_filter: None,
             pending: Vec::new(),
             persistent: Vec::new(),
+            memo: Vec::new(),
         }
     }
 
@@ -155,6 +166,7 @@ impl<M> Space<M> {
     /// Replaces the policy table (requires `Rights::MANAGE` at the
     /// coordinator API; this is the raw mutation).
     pub fn set_policy(&mut self, policy: ManagerPolicy) {
+        self.memo.clear();
         self.selector = Selector::new(policy.selection.clone(), policy.selection_seed);
         self.policy = policy;
     }
@@ -166,6 +178,7 @@ impl<M> Space<M> {
 
     /// Installs (or clears) a custom matching rule.
     pub fn set_match_filter(&mut self, filter: Option<MatchFilter>) {
+        self.memo.clear();
         self.match_filter = filter;
     }
 
@@ -192,6 +205,7 @@ impl<M> Space<M> {
     /// Registers (or extends) a member's attributes. Returns true if this
     /// member was not previously visible here.
     pub fn add_member(&mut self, member: MemberId, attrs: Vec<Path>) -> bool {
+        self.memo.clear();
         let entry = self.members.entry(member);
         let fresh = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
         if fresh && matches!(member, MemberId::Space(_)) {
@@ -211,6 +225,7 @@ impl<M> Space<M> {
     pub fn remove_member(&mut self, member: MemberId) -> bool {
         match self.members.remove(&member) {
             Some(attrs) => {
+                self.memo.clear();
                 if matches!(member, MemberId::Space(_)) {
                     self.sub_spaces -= 1;
                 }
@@ -235,6 +250,7 @@ impl<M> Space<M> {
                 clean.push(a);
             }
         }
+        self.memo.clear();
         let list = self.members.get_mut(&member).expect("checked above");
         let old = std::mem::replace(list, clean.clone());
         for a in &old {
@@ -264,6 +280,25 @@ impl<M> Space<M> {
     /// How many visible members are spaces.
     pub(crate) fn sub_spaces(&self) -> usize {
         self.sub_spaces
+    }
+
+    /// Takes `pattern`'s memoized resolution out of the memo, if it is
+    /// there; [`memo_put`](Space::memo_put) hands it back after use.
+    pub(crate) fn memo_take(&mut self, pattern: &Pattern) -> Option<Vec<ActorId>> {
+        let i = self.memo.iter().position(|(p, _)| p.same(pattern))?;
+        Some(self.memo.remove(i).1)
+    }
+
+    /// Memoizes `found` as what `pattern` resolves to in this space alone,
+    /// forgetting the least recently used entry when the memo is full. The
+    /// caller vouches that `found` is that resolution: the walk's result,
+    /// or what [`memo_take`](Space::memo_take) returned since the last
+    /// change.
+    pub(crate) fn memo_put(&mut self, pattern: &Pattern, found: Vec<ActorId>) {
+        if self.memo.len() == MEMO_ENTRIES {
+            self.memo.remove(0);
+        }
+        self.memo.push((pattern.clone(), found));
     }
 
     /// Is the member visible here?
@@ -366,6 +401,53 @@ mod tests {
         assert_eq!(s.members()[&m], vec![path("c")]);
         assert_eq!(s.index().keys().collect::<Vec<_>>(), vec![&path("c")]);
         assert!(!s.set_attributes(MemberId::Actor(ActorId(9)), vec![path("x")]));
+    }
+
+    #[test]
+    fn every_change_clears_the_memo() {
+        use actorspace_pattern::pattern;
+        let p = pattern("svc/*");
+        let (a, b) = (MemberId::Actor(ActorId(1)), MemberId::Actor(ActorId(2)));
+        let changes: [fn(&mut Space<u32>); 5] = [
+            |s| assert!(s.add_member(MemberId::Actor(ActorId(3)), vec![path("svc/c")])),
+            |s| assert!(s.remove_member(MemberId::Actor(ActorId(2)))),
+            |s| assert!(s.set_attributes(MemberId::Actor(ActorId(2)), vec![path("x")])),
+            |s| s.set_match_filter(None),
+            |s| s.set_policy(ManagerPolicy::default()),
+        ];
+        for change in changes {
+            let mut s = space();
+            s.add_member(a, vec![path("svc/a")]);
+            s.add_member(b, vec![path("svc/b")]);
+            s.memo_put(&p, vec![ActorId(1), ActorId(2)]);
+            assert_eq!(s.memo_take(&p), Some(vec![ActorId(1), ActorId(2)]));
+            assert_eq!(s.memo_take(&p), None, "a taken entry is out of the memo");
+            s.memo_put(&p, vec![ActorId(1), ActorId(2)]);
+            change(&mut s);
+            assert_eq!(s.memo_take(&p), None);
+        }
+    }
+
+    #[test]
+    fn the_memo_keys_on_identity_and_forgets_the_least_recently_used() {
+        use actorspace_pattern::pattern;
+        let mut s = space();
+        let held: Vec<Pattern> = (0..MEMO_ENTRIES).map(|_| pattern("svc/*")).collect();
+        for (i, p) in held.iter().enumerate() {
+            s.memo_put(p, vec![ActorId(i as u64)]);
+        }
+        assert_eq!(
+            s.memo_take(&pattern("svc/*")),
+            None,
+            "an equal parse is not the same"
+        );
+        // Using the oldest makes the second oldest the one to go.
+        let oldest = s.memo_take(&held[0]).unwrap();
+        s.memo_put(&held[0], oldest);
+        s.memo_put(&pattern("x/*"), vec![]);
+        assert_eq!(s.memo_take(&held[1]), None);
+        assert_eq!(s.memo_take(&held[0]), Some(vec![ActorId(0)]));
+        assert_eq!(s.memo_take(&held[2]), Some(vec![ActorId(2)]));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   `Vec`'s growth (reallocations) depends on the answer's size;
 //! - a warmed `send` into a reused buffer, and a warmed `resolve`, in a
 //!   space with no sub-spaces allocate at most twice, apart from that
-//!   growth.
+//!   growth;
+//! - a warmed `svc/*` send through a reused pattern handle, which the
+//!   space's resolution memo answers without a walk, allocates nothing at
+//!   all, over 640 replicas as over 64.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -184,6 +187,27 @@ fn warmed_sends_and_resolves_allocate_at_most_twice() {
         assert!(
             allocs <= 2,
             "a warmed resolve of {pat} allocated {allocs} times"
+        );
+    }
+}
+
+/// The scope's resolution memo answers a repeated send through one
+/// compiled pattern: no walk, no result `Vec`, no allocation. (`resolve`
+/// is never memoized; the tests above count its walk.)
+#[test]
+fn a_memoized_wildcard_send_allocates_nothing() {
+    for n in [64, 640] {
+        let (reg, space) = replicas(n);
+        let pat = pattern("svc/*");
+        let mut out = Vec::new();
+        reg.send(&pat, space, 0, &mut out).unwrap();
+        out.clear();
+        let (d, allocs, reallocs) = counted(|| reg.send(&pat, space, 1, &mut out).unwrap());
+        assert_eq!(d, Disposition::Delivered(1));
+        assert_eq!(
+            (allocs, reallocs),
+            (0, 0),
+            "a memoized svc/* send over {n} replicas allocated"
         );
     }
 }

@@ -1,10 +1,11 @@
 //! Differential oracle for the coordinator.
 //!
 //! [`ShardedRegistry`] keeps each space behind its own lock, with a literal
-//! index, single-shard fast paths and per-space metrics. The naive model in
-//! `naive_model/` is an independent specification of the same §5
-//! semantics: plain maps, linear scans, and resolution by listing every
-//! joined attribute path and filtering with `Pattern::matches`. This test
+//! index, single-shard fast paths, a per-space resolution memo and
+//! per-space metrics. The naive model in `naive_model/` is an independent
+//! specification of the same §5 semantics: plain maps, linear scans, and
+//! resolution by listing every joined attribute path and filtering with
+//! `Pattern::matches`. This test
 //! replays random operation sequences — create/destroy, visibility churn
 //! (§5.7), sends and broadcasts with the §5.6 unmatched-message policies,
 //! garbage collection — against both, built with the same deterministic
@@ -53,6 +54,13 @@ fn attrs(i: usize) -> Vec<Path> {
         2 => vec![path("srv/fact"), path("w")],
         _ => vec![path("pool/deep/worker")],
     }
+}
+
+/// The panel's patterns, compiled once per run: every send and broadcast
+/// of a run reuses these handles, as a long-lived caller would, so the
+/// coordinator's per-space resolution memo answers repeats.
+fn patterns() -> Vec<Pattern> {
+    (0..6).map(pat).collect()
 }
 
 fn pat(i: usize) -> Pattern {
@@ -148,6 +156,54 @@ fn arb_op() -> impl Strategy<Value = Op> {
         }),
         (0usize..8).prop_map(|space| Op::CancelPersistent { space }),
         Just(Op::Collect),
+    ]
+}
+
+/// Membership churn between repeated sends and broadcasts, with no
+/// collection or destruction to empty the universe early: each send
+/// through a reused pattern handle can be answered by the scope's
+/// resolution memo, and each change between two of them must move it.
+fn arb_churn_op() -> impl Strategy<Value = Op> {
+    let send = || {
+        (3usize..6, 0usize..8, 0u64..1000).prop_map(|(pat, scope, msg)| Op::Send {
+            pat,
+            scope,
+            msg,
+        })
+    };
+    let broadcast = || {
+        (3usize..6, 0usize..8, 1000u64..2000).prop_map(|(pat, scope, msg)| Op::Broadcast {
+            pat,
+            scope,
+            msg,
+        })
+    };
+    let visible =
+        || {
+            (0usize..8, 0usize..8, 0usize..4)
+                .prop_map(|(actor, space, attr)| Op::MakeActorVisible { actor, space, attr })
+        };
+    prop_oneof![
+        (0usize..8).prop_map(|host| Op::CreateActor { host }),
+        visible(),
+        visible(),
+        (0usize..8, 0usize..8, 0usize..4).prop_map(|(child, parent, attr)| Op::MakeSpaceVisible {
+            child,
+            parent,
+            attr
+        }),
+        (0usize..8, 0usize..8).prop_map(|(actor, space)| Op::MakeActorInvisible { actor, space }),
+        (0usize..8, 0usize..8).prop_map(|(child, parent)| Op::MakeSpaceInvisible { child, parent }),
+        (0usize..8, 0usize..8, 0usize..4).prop_map(|(actor, space, attr)| Op::ChangeAttr {
+            actor,
+            space,
+            attr
+        }),
+        send(),
+        send(),
+        send(),
+        broadcast(),
+        broadcast(),
     ]
 }
 
@@ -278,6 +334,7 @@ impl Coordinator for ShardedRegistry<Msg> {
 /// plus the sorted delivery multiset the op produced.
 fn apply(
     c: &mut dyn Coordinator,
+    pats: &[Pattern],
     op: &Op,
     spaces: &mut Vec<SpaceId>,
     actors: &mut Vec<ActorId>,
@@ -347,12 +404,12 @@ fn apply(
             format!("{:?}", c.destroy_space(idx(spaces, space)))
         }
         Op::Send { pat: p, scope, msg } => {
-            format!("{:?}", c.send(&pat(p), idx(spaces, scope), msg, &mut out))
+            format!("{:?}", c.send(&pats[p], idx(spaces, scope), msg, &mut out))
         }
         Op::Broadcast { pat: p, scope, msg } => {
             format!(
                 "{:?}",
-                c.broadcast(&pat(p), idx(spaces, scope), msg, &mut out)
+                c.broadcast(&pats[p], idx(spaces, scope), msg, &mut out)
             )
         }
         Op::CancelPersistent { space } => {
@@ -373,6 +430,7 @@ fn apply(
 /// Runs a sequence against the model and the coordinator and asserts
 /// observational equivalence per op and on the final state.
 fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
+    let pats = patterns();
     let mut reference = Model::new(policy(unmatched));
     let mut sharded: ShardedRegistry<Msg> = ShardedRegistry::new(policy(unmatched));
 
@@ -395,8 +453,8 @@ fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
     for (i, op) in ops.iter().enumerate() {
         let mut s2 = spaces.clone();
         let mut a2 = actors.clone();
-        let (ref_out, ref_del) = apply(&mut reference, op, &mut spaces, &mut actors, true);
-        let (sh_out, sh_del) = apply(&mut sharded, op, &mut s2, &mut a2, false);
+        let (ref_out, ref_del) = apply(&mut reference, &pats, op, &mut spaces, &mut actors, true);
+        let (sh_out, sh_del) = apply(&mut sharded, &pats, op, &mut s2, &mut a2, false);
         assert_eq!(ref_out, sh_out, "op {i} {op:?}: outcomes diverged");
         assert_eq!(
             ref_del, sh_del,
@@ -436,12 +494,11 @@ fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
             Coordinator::containers_of(&sharded, s.into()),
             "containers diverged for {s:?}"
         );
-        for p in 0..6 {
+        for p in &pats {
             assert_eq!(
-                Coordinator::resolve(&reference, &pat(p), s),
-                Coordinator::resolve(&sharded, &pat(p), s),
-                "resolve({}) diverged in {s:?}",
-                pat(p)
+                Coordinator::resolve(&reference, p, s),
+                Coordinator::resolve(&sharded, p, s),
+                "resolve({p}) diverged in {s:?}"
             );
         }
     }
@@ -496,5 +553,16 @@ proptest! {
     #[test]
     fn sharded_equals_reference_error(ops in proptest::collection::vec(arb_op(), 0..70)) {
         run_differential(&ops, UnmatchedPolicy::Error);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Churn runs: repeated wildcard sends and broadcasts between
+    /// membership changes, where a stale resolution memo would show.
+    #[test]
+    fn sharded_equals_reference_under_churn(ops in proptest::collection::vec(arb_churn_op(), 0..70)) {
+        run_differential(&ops, UnmatchedPolicy::Suspend);
     }
 }

@@ -110,19 +110,25 @@ fn parallel_sends_lose_and_duplicate_nothing() {
         })
     };
 
+    // Patterns are compiled once and their handles reused, as a long-lived
+    // sender would, so the per-space resolution memo answers repeats while
+    // other threads change what they match.
+    let worker = pattern("worker");
+    let shared_any = pattern("shared/*");
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let reg = Arc::clone(&reg);
         let privates = privates.clone();
+        let (worker, shared_any) = (worker.clone(), shared_any.clone());
         handles.push(thread::spawn(move || {
             let (own_space, own_actor) = privates[t as usize];
+            let residents: Vec<ActorId> = privates.iter().map(|&(_, a)| a).collect();
             let mut out: Vec<Delivery<u64>> = Vec::new();
+            let mut sent: Vec<Delivery<u64>> = Vec::new();
             let mut shared_delivered_claim = 0u64;
             for seq in 0..ITERS {
                 // Private-space send: must deliver to own actor, now.
-                let d = reg
-                    .send(&pattern("worker"), own_space, msg(t, seq), &mut out)
-                    .unwrap();
+                let d = reg.send(&worker, own_space, msg(t, seq), &mut out).unwrap();
                 assert_eq!(d, Disposition::Delivered(1), "thread {t} seq {seq}");
 
                 // Shared-space churn: flip a *different* thread's actor in
@@ -142,16 +148,25 @@ fn parallel_sends_lose_and_duplicate_nothing() {
                 }
                 if seq % 5 == 0 {
                     let d = reg
-                        .broadcast(
-                            &pattern("shared/*"),
-                            shared,
-                            msg(t, seq) + 500_000,
-                            &mut out,
-                        )
+                        .broadcast(&shared_any, shared, msg(t, seq) + 500_000, &mut out)
                         .unwrap();
                     if let Disposition::Delivered(n) = d {
                         shared_delivered_claim += n as u64;
                     }
+                    // A send through the same handle reaches one actor this
+                    // test made visible in `shared`, or nobody (Discard).
+                    let d = reg
+                        .send(&shared_any, shared, msg(t, seq), &mut sent)
+                        .unwrap();
+                    match d {
+                        Disposition::Delivered(1) => assert!(
+                            residents.contains(&sent[0].to),
+                            "thread {t} seq {seq}: shared/* reached {:?}",
+                            sent[0].to
+                        ),
+                        d => assert_eq!(d, Disposition::Discarded, "thread {t} seq {seq}"),
+                    }
+                    sent.clear();
                 }
 
                 // Lock-order inversion attempt: even threads link low→high,
@@ -230,7 +245,7 @@ fn parallel_sends_lose_and_duplicate_nothing() {
     // The registry is still coherent: DAG intact, private actors resolvable.
     assert!(reg.is_dag());
     for (s, a) in &privates {
-        assert_eq!(reg.resolve(&pattern("worker"), *s).unwrap(), vec![*a]);
+        assert_eq!(reg.resolve(&worker, *s).unwrap(), vec![*a]);
     }
 }
 

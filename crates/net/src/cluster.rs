@@ -680,6 +680,7 @@ impl Cluster {
             *slot.apply_errors.write() = errors;
             *slot.applier.write() = applier.clone();
             self.detector.reset_observer(i);
+            self.detector.reset_peer(i);
             slot.up.store(true, Ordering::Release);
         }
         // Recovery: replay the retained history into the fresh replica.
@@ -1234,12 +1235,14 @@ impl Transport for NodeUplink {
             return false;
         }
         let bytes = actorspace_runtime::codec::message_to_bytes(&msg);
+        // Counted before the send: once sent, the message may be delivered
+        // and answered before this thread runs again.
+        self.forwarded.inc();
         pipe.send(WirePacket {
             to,
             bytes: Arc::new(bytes),
             route: route.cloned(),
         });
-        self.forwarded.inc();
         true
     }
 }

@@ -146,6 +146,20 @@ impl FailureDetector {
         newly
     }
 
+    /// Grants every observer a fresh observation window on `peer` and
+    /// clears their suspicions of it — used when `peer` restarts, so no
+    /// observer times out the new incarnation on a beat the old one sent
+    /// before it died. (That suspicion's `NodeDown` would be ordered after
+    /// the restart's `NodeUp` and purge the new incarnation's actors.)
+    pub fn reset_peer(&self, peer: usize) {
+        let now = Instant::now();
+        for row in &self.peers {
+            let mut st = row[peer].lock();
+            st.last_beat = now;
+            st.suspected = false;
+        }
+    }
+
     /// Grants `observer` a fresh observation window on every peer and
     /// clears its suspicions — used when `observer` itself restarts, so it
     /// does not instantly re-suspect peers it has not heard from while
@@ -237,6 +251,28 @@ mod tests {
             d.sweep(0).is_empty(),
             "reset must restart the silence clock"
         );
+    }
+
+    #[test]
+    fn reset_peer_grants_every_observer_a_fresh_window() {
+        // A threshold well above a descheduled test thread's stall: the
+        // sweeps below run within it of `reset_peer`.
+        let d = FailureDetector::new(
+            3,
+            FailureConfig {
+                timeout: Duration::from_millis(100),
+                ..fast()
+            },
+        );
+        // Every beat from peer 2 is stale, and observer 1 already
+        // suspects it.
+        std::thread::sleep(d.config().threshold() + Duration::from_millis(5));
+        assert_eq!(d.sweep(1), vec![0, 2]);
+        d.reset_peer(2);
+        assert!(!d.is_suspected(1, 2));
+        assert_eq!(d.sweep(0), vec![1], "observer 0 must not suspect peer 2");
+        assert!(d.sweep(1).is_empty(), "observer 1 must not suspect peer 2");
+        assert_eq!(d.sweep(2), vec![0, 1], "peer 2's own row is not reset");
     }
 
     #[test]

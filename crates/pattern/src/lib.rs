@@ -177,6 +177,21 @@ impl Pattern {
         self.0.literal
     }
 
+    /// True if `self` and `other` share one compiled body: one is a clone
+    /// of the other. Two parses of the same text are equal (`==`) but not
+    /// the same.
+    ///
+    /// ```
+    /// use actorspace_pattern::pattern;
+    ///
+    /// let p = pattern("svc/*");
+    /// assert!(p.same(&p.clone()));
+    /// assert!(p == pattern("svc/*") && !p.same(&pattern("svc/*")));
+    /// ```
+    pub fn same(&self, other: &Pattern) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// True if no path whatsoever can match this pattern.
     pub fn is_empty_language(&self) -> bool {
         !matcher::is_satisfiable(&self.0.nfa)

@@ -35,7 +35,7 @@ echo "==> cargo test (workspace, lockcheck instrumentation on)"
 # panics.
 cargo test --workspace -q --features lockcheck
 
-echo "==> stress (coordinator and mailbox tests in release)"
+echo "==> stress (coordinator, mailbox and failover tests in release)"
 # The sharded-coordinator stress and oracle tests spawn their own threads;
 # running the harness itself multi-threaded adds cross-test interleaving
 # on top. Release mode so the contention window is realistic.
@@ -44,6 +44,9 @@ RUST_TEST_THREADS=4 cargo test --release -p actorspace-core \
 # 10^6 send-right-after-reply round trips: a message must never be
 # stranded in an idle mailbox (ignored in the debug suite, too slow there).
 cargo test --release -p actorspace-runtime --test mailbox_wakeup -q
+# Kill/restart failover on the fast failure detector, four tests at once:
+# a restarted node must not be suspected on its old incarnation's beats.
+RUST_TEST_THREADS=4 cargo test --release -p actorspace-net --test failover_tests -q
 
 echo "==> E12 quick (attribute index: exact and prefix resolution must stay flat, 10^3 -> 10^4; an svc/* key must cost at most 0.2x an exact hit)"
 E12_QUICK=1 cargo run --release -p actorspace-bench --bin experiments e12
